@@ -1,29 +1,12 @@
 //! `mqo` — command-line interface to the library.
 //!
 //! ```text
-//! mqo generate <dataset> [--scale S] [--seed N] --out FILE
-//! mqo inspect  FILE
-//! mqo classify <dataset|FILE> [--method M] [--queries N] [--prune TAU]
-//!              [--boost] [--model gpt35|gpt4o-mini] [--threads T]
-//!              [--deterministic] [--budget B] [--retries N] [--trace FILE]
-//!              [--trace-chrome FILE] [--serve-metrics ADDR]
-//!              [--cost-json FILE] [--cache-cap N] [--no-cache]
-//!              [--repeat K] [--batch B] [--stats-json FILE]
-//!              [--faults SPEC] [--fault-kill-after N]
-//!              [--journal FILE] [--resume] [--dump-records FILE]
-//! mqo serve    <dataset|FILE> [--addr A] [--method M] [--queries N]
-//!              [--workers W] [--queue-cap Q] [--budget B] [--boost]
-//!              [--tenants a=1000,b=500] [--tenant-budget N]
-//!              [--cache-cap N] [--no-cache] [--retries N] [--faults SPEC]
-//!              [--journal FILE] [--resume] [--trace-chrome FILE]
-//!              [--cost-json FILE] [--stats-json FILE] [--addr-file FILE]
-//! mqo partition <dataset|FILE> --shards K --out-dir DIR [--seed N]
-//!              [--scale S] [--strategy edge-cut|ring] [--stats-json FILE]
-//! mqo route    MAPFILE --workers ADDR,ADDR,... [--addr A] [--addr-file F]
-//!              [--eject-after N] [--probe-interval-ms MS]
-//! mqo plan     <dataset> --dollars X [--queries N] [--method M]
-//! mqo tables
+//! mqo generate | inspect | classify | serve | partition | route | plan | tables
 //! ```
+//!
+//! Run `mqo` with no arguments for every subcommand's flags; the usage
+//! text is rendered from the same per-subcommand flag table the parser
+//! checks, so an unknown flag is an error (exit 2), never ignored.
 //!
 //! Datasets: cora, citeseer, pubmed, ogbn-arxiv, ogbn-products.
 //! Methods: zero-shot, 1hop, 2hop, sns, llmrank.
@@ -34,7 +17,7 @@
 //! boosting); `mqo route` fronts the workers with ownership routing,
 //! batch fan-out, health ejection, and the label exchange relay.
 //!
-//! Argument parsing is hand-rolled (std only) — the tool has seven verbs
+//! Argument parsing is hand-rolled (std only) — the tool has eight verbs
 //! and a few dozen flags, not enough to justify a parser dependency.
 
 use mqo_bench::harness::Trace;
@@ -54,7 +37,7 @@ use mqo_llm::{
     RetryingLlm, SimLlm, ValidatingLlm,
 };
 use mqo_obs::{
-    ChromeTraceSink, CostLedger, Fanout, MetricsServer, MetricsSink, MonotonicClock, SpanId,
+    serve_metrics, ChromeTraceSink, CostLedger, Fanout, MetricsSink, MonotonicClock, SpanId,
     Tracer, WaitClock,
 };
 use mqo_serve::{ServeConfig, ServerOptions};
@@ -66,69 +49,198 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 use std::sync::Arc;
 
+/// One `--flag` of a subcommand: its name, whether it takes a value,
+/// and the value's hint in the usage text.
+struct Flag {
+    name: &'static str,
+    takes_value: bool,
+    hint: &'static str,
+}
+
+const fn value(name: &'static str, hint: &'static str) -> Flag {
+    Flag { name, takes_value: true, hint }
+}
+
+const fn switch(name: &'static str) -> Flag {
+    Flag { name, takes_value: false, hint: "" }
+}
+
+/// A subcommand: its positional arguments and the only flags it accepts.
+struct Command {
+    verb: &'static str,
+    args: &'static str,
+    flags: &'static [Flag],
+}
+
+const COMMANDS: &[Command] = &[
+    Command {
+        verb: "generate",
+        args: "<dataset>",
+        flags: &[value("scale", "S"), value("seed", "N"), value("out", "FILE")],
+    },
+    Command { verb: "inspect", args: "FILE", flags: &[] },
+    Command {
+        verb: "classify",
+        args: "<dataset|FILE>",
+        flags: &[
+            value("method", "zero-shot|1hop|2hop|sns|llmrank"),
+            value("queries", "N"),
+            value("prune", "TAU"),
+            switch("boost"),
+            value("model", "gpt35|gpt4o-mini"),
+            value("threads", "T"),
+            switch("deterministic"),
+            value("budget", "B"),
+            value("retries", "N"),
+            value("trace", "FILE"),
+            value("trace-chrome", "FILE"),
+            value("serve-metrics", "ADDR"),
+            value("cost-json", "FILE"),
+            value("cache-cap", "N"),
+            switch("no-cache"),
+            value("repeat", "K"),
+            value("batch", "B"),
+            value("stats-json", "FILE"),
+            value("faults", "error=R,malformed=R,rate-limit=R,latency=R,truncate=R,outage=S+L"),
+            value("fault-kill-after", "N"),
+            value("journal", "FILE"),
+            switch("resume"),
+            value("dump-records", "FILE"),
+            value("seed", "N"),
+            value("scale", "S"),
+        ],
+    },
+    Command {
+        verb: "serve",
+        args: "<dataset|FILE>",
+        flags: &[
+            value("addr", "A"),
+            value("method", "M"),
+            value("queries", "N"),
+            value("workers", "W"),
+            value("queue-cap", "Q"),
+            value("budget", "B"),
+            switch("boost"),
+            value("tenants", "a=1000,b=500"),
+            value("tenant-budget", "N"),
+            value("cache-cap", "N"),
+            switch("no-cache"),
+            value("retries", "N"),
+            value("faults", "SPEC"),
+            value("journal", "FILE"),
+            switch("resume"),
+            value("trace-chrome", "FILE"),
+            value("slo-p99-ms", "MS"),
+            value("slo-availability", "F"),
+            value("flight-slow", "N"),
+            value("flight-errors", "N"),
+            value("flight-dump", "FILE"),
+            value("cost-json", "FILE"),
+            value("stats-json", "FILE"),
+            value("addr-file", "FILE"),
+            value("sojourn-target-ms", "MS"),
+            value("shed-interval-ms", "MS"),
+            value("tenant-share-permille", "P"),
+            value("brownout-enter", "MILLI"),
+            value("brownout-exit", "MILLI"),
+            value("chaos", "reset=R,stall=R,partial=R,abort=R,stall-millis=MS"),
+            value("chaos-seed", "N"),
+            value("chaos-addr-file", "FILE"),
+            value("shard-id", "I"),
+            value("shard-map", "FILE"),
+            value("router", "ADDR"),
+            value("exchange-interval-ms", "MS"),
+            value("seed", "N"),
+            value("scale", "S"),
+        ],
+    },
+    Command {
+        verb: "partition",
+        args: "<dataset|FILE>",
+        flags: &[
+            value("shards", "K"),
+            value("out-dir", "DIR"),
+            value("seed", "N"),
+            value("scale", "S"),
+            value("strategy", "edge-cut|ring"),
+            value("stats-json", "FILE"),
+        ],
+    },
+    Command {
+        verb: "route",
+        args: "MAPFILE",
+        flags: &[
+            value("workers", "ADDR,ADDR,..."),
+            value("addr", "A"),
+            value("addr-file", "FILE"),
+            value("eject-after", "N"),
+            value("probe-interval-ms", "MS"),
+        ],
+    },
+    Command {
+        verb: "plan",
+        args: "<dataset>",
+        flags: &[value("dollars", "X"), value("queries", "N"), value("method", "M")],
+    },
+    Command { verb: "tables", args: "", flags: &[] },
+];
+
+/// Print the usage text, rendered from [`COMMANDS`], and exit 2.
 fn usage() -> ExitCode {
-    eprintln!(
-        "usage:\n  \
-         mqo generate <dataset> [--scale S] [--seed N] --out FILE\n  \
-         mqo inspect  FILE\n  \
-         mqo classify <dataset|FILE> [--method zero-shot|1hop|2hop|sns|llmrank]\n               \
-         [--queries N] [--prune TAU] [--boost] [--model gpt35|gpt4o-mini] [--threads T]\n               \
-         [--deterministic] [--budget B] [--retries N] [--trace FILE] [--trace-chrome FILE]\n               \
-         [--serve-metrics ADDR] [--cost-json FILE] [--cache-cap N] [--no-cache]\n               \
-         [--repeat K] [--batch B] [--stats-json FILE]\n               \
-         [--faults error=R,malformed=R,rate-limit=R,latency=R,truncate=R,outage=S+L]\n               \
-         [--fault-kill-after N] [--journal FILE] [--resume] [--dump-records FILE]\n  \
-         mqo serve    <dataset|FILE> [--addr A] [--method M] [--queries N] [--workers W]\n               \
-         [--queue-cap Q] [--budget B] [--boost] [--tenants a=1000,b=500]\n               \
-         [--tenant-budget N] [--cache-cap N] [--no-cache] [--retries N]\n               \
-         [--faults SPEC] [--journal FILE] [--resume] [--trace-chrome FILE]\n               \
-         [--slo-p99-ms MS] [--slo-availability F] [--flight-slow N]\n               \
-         [--flight-errors N] [--flight-dump FILE]\n               \
-         [--cost-json FILE] [--stats-json FILE] [--addr-file FILE]\n               \
-         [--sojourn-target-ms MS] [--shed-interval-ms MS] [--tenant-share-permille P]\n               \
-         [--brownout-enter MILLI] [--brownout-exit MILLI]\n               \
-         [--chaos reset=R,stall=R,partial=R,abort=R,stall-millis=MS]\n               \
-         [--chaos-seed N] [--chaos-addr-file FILE]\n               \
-         [--shard-id I --shard-map FILE] [--router ADDR]\n               \
-         [--exchange-interval-ms MS]\n  \
-         mqo partition <dataset|FILE> --shards K --out-dir DIR [--seed N] [--scale S]\n               \
-         [--strategy edge-cut|ring] [--stats-json FILE]\n  \
-         mqo route    MAPFILE --workers ADDR,ADDR,... [--addr A] [--addr-file FILE]\n               \
-         [--eject-after N] [--probe-interval-ms MS]\n  \
-         mqo plan     <dataset> --dollars X [--queries N] [--method M]\n  \
-         mqo tables"
-    );
+    const WIDTH: usize = 92;
+    let mut text = String::from("usage:");
+    for cmd in COMMANDS {
+        let mut line = format!("  mqo {:<8} {}", cmd.verb, cmd.args);
+        for f in cmd.flags {
+            let item = if f.takes_value {
+                format!(" [--{} {}]", f.name, f.hint)
+            } else {
+                format!(" [--{}]", f.name)
+            };
+            if line.len() + item.len() > WIDTH {
+                text.push('\n');
+                text.push_str(&line);
+                line = " ".repeat(14);
+            }
+            line.push_str(&item);
+        }
+        text.push('\n');
+        text.push_str(line.trim_end());
+    }
+    eprintln!("{text}");
     ExitCode::from(2)
 }
 
-fn parse_flags(args: &[String]) -> (Vec<String>, HashMap<String, String>) {
+/// Split `args` into positionals and `--flag [value]` pairs, accepting
+/// only the flags in `cmd`'s table. An unknown flag or a value flag with
+/// no value is an error naming the flag.
+fn parse_flags(
+    cmd: &Command,
+    args: &[String],
+) -> Result<(Vec<String>, HashMap<String, String>), String> {
     let mut positional = Vec::new();
     let mut flags = HashMap::new();
-    let mut i = 0;
-    while i < args.len() {
-        if let Some(name) = args[i].strip_prefix("--") {
-            // Boolean flags take no value; value flags consume the next arg.
-            match name {
-                "boost" | "no-cache" | "resume" | "deterministic" => {
-                    flags.insert(name.to_string(), "true".to_string());
-                    i += 1;
-                }
-                _ => {
-                    if i + 1 < args.len() {
-                        flags.insert(name.to_string(), args[i + 1].clone());
-                        i += 2;
-                    } else {
-                        flags.insert(name.to_string(), String::new());
-                        i += 1;
-                    }
-                }
-            }
+    let mut args = args.iter();
+    while let Some(arg) = args.next() {
+        let Some(name) = arg.strip_prefix("--") else {
+            positional.push(arg.clone());
+            continue;
+        };
+        let flag = cmd
+            .flags
+            .iter()
+            .find(|f| f.name == name)
+            .ok_or_else(|| format!("unknown flag --{name} for mqo {}", cmd.verb))?;
+        let value = if flag.takes_value {
+            args.next()
+                .ok_or_else(|| format!("--{name} needs a value ({})", flag.hint))?
+                .clone()
         } else {
-            positional.push(args[i].clone());
-            i += 1;
-        }
+            "true".to_string()
+        };
+        flags.insert(name.to_string(), value);
     }
-    (positional, flags)
+    Ok((positional, flags))
 }
 
 fn dataset_by_name(name: &str) -> Option<DatasetId> {
@@ -407,7 +519,7 @@ fn cmd_classify(pos: &[String], flags: &HashMap<String, String>) -> Result<(), S
     // until the process exits.
     let _server = match (&metrics, flags.get("serve-metrics")) {
         (Some(m), Some(addr)) => {
-            let srv = MetricsServer::start(addr, m.clone())
+            let srv = serve_metrics(addr, m.clone())
                 .map_err(|e| format!("cannot serve metrics on {addr}: {e}"))?;
             println!("metrics         : http://{}/metrics (and /progress)", srv.addr());
             Some(srv)
@@ -1075,9 +1187,18 @@ fn cmd_tables() {
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let Some(verb) = args.first() else { return usage() };
-    let (pos, flags) = parse_flags(&args[1..]);
-    let result = match verb.as_str() {
+    let Some(cmd) = args.first().and_then(|verb| COMMANDS.iter().find(|c| c.verb == verb))
+    else {
+        return usage();
+    };
+    let (pos, flags) = match parse_flags(cmd, &args[1..]) {
+        Ok(parsed) => parsed,
+        Err(e) => {
+            eprintln!("error: {e} (run `mqo` for usage)");
+            return ExitCode::from(2);
+        }
+    };
+    let result = match cmd.verb {
         "generate" => cmd_generate(&pos, &flags),
         "inspect" => cmd_inspect(&pos),
         "classify" => cmd_classify(&pos, &flags),

@@ -1,20 +1,25 @@
 //! A bounded MPMC work queue with explicit backpressure.
 //!
-//! The serving layer (`mqo-serve`) admits classification jobs into a
-//! [`BoundedQueue`] and a worker pool drains it. The queue is the
-//! admission-control hinge: [`BoundedQueue::try_push`] **never blocks** —
-//! when the queue is full the caller gets the job back and turns it into
-//! a `429 Too Many Requests`, which is how saturation propagates to
-//! clients instead of piling up unbounded memory. [`BoundedQueue::pop`]
-//! blocks until work arrives, and returns `None` only after
-//! [`BoundedQueue::close`] *and* a fully drained queue — exactly the
-//! graceful-drain contract: accepted work always completes, late work is
-//! refused at the door.
+//! The [`crate::Scheduler`] dispatches work to its worker pool through a
+//! [`BoundedQueue`]: the coordinator pushes, the workers [`pop`], and
+//! [`close`] tells them no more work is coming. [`BoundedQueue::try_push`]
+//! **never blocks** — a full queue hands the value back as
+//! [`PushError::Full`], so a producer decides what backpressure means
+//! instead of piling up unbounded memory. [`BoundedQueue::pop`] blocks
+//! until work arrives, and returns `None` only after
+//! [`BoundedQueue::close`] *and* a fully drained queue — accepted work
+//! always completes, late work is refused.
+//!
+//! (HTTP admission in `mqo-serve` does not use this queue: handlers wait
+//! for a slot permit on its `SlotGate` instead.)
 //!
 //! std `Mutex` + `Condvar` rather than a lock-free ring: the payloads are
-//! whole classification jobs whose execution dwarfs any queue overhead,
-//! and the blocking semantics (drain-aware pop) are the hard part worth
-//! being obviously correct about.
+//! whole query batches whose execution dwarfs any queue overhead, and the
+//! blocking semantics (drain-aware pop) are the hard part worth being
+//! obviously correct about.
+//!
+//! [`pop`]: BoundedQueue::pop
+//! [`close`]: BoundedQueue::close
 
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex};

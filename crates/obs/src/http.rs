@@ -1,120 +1,60 @@
-//! A minimal std-only HTTP endpoint serving live metrics.
+//! The live metrics endpoint: `GET /metrics` and `GET /progress` for a
+//! [`MetricsSink`], served on the shared [`HttpServer`].
 //!
-//! [`MetricsServer`] binds a `TcpListener`, answers `GET /metrics` with
-//! the Prometheus text exposition of a [`MetricsSink`]'s registry and
-//! `GET /progress` with its compact JSON snapshot, and shuts down cleanly
-//! on drop. It is deliberately not a web server: one short-lived
-//! connection at a time, `Connection: close` — exactly enough for `curl`
-//! and a Prometheus scraper, with zero dependencies. Request parsing and
-//! response writing live in [`crate::httpd`], shared with the serving
-//! stack in `mqo-serve`.
+//! [`serve_metrics`] answers `GET /metrics` with the Prometheus text
+//! exposition of the sink's registry and `GET /progress` with its
+//! compact JSON snapshot — exactly enough for `curl` and a Prometheus
+//! scraper, with zero dependencies. [`respond_metrics`] is the same pair
+//! of routes for a server that has more of its own (the classification
+//! service in `mqo-serve`).
 //!
 //! Serving failures are not silent: every connection that dies with an
-//! I/O error increments the `mqo_http_errors_total` counter on the
-//! sink's own registry, so a flaky scraper (or a broken response path)
-//! shows up in the very endpoint it scrapes.
+//! I/O error or malformed framing increments the `mqo_http_errors_total`
+//! counter on the sink's own registry, so a flaky scraper (or a broken
+//! response path) shows up in the very endpoint it scrapes.
 
-use crate::httpd::{HttpConnection, ReadOutcome, Request};
+use crate::httpd::{http_errors_total, HttpConnection, HttpServer, Request};
 use crate::registry::MetricsSink;
-use std::io::{self, ErrorKind};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::io;
 use std::sync::Arc;
-use std::thread::{self, JoinHandle};
-use std::time::Duration;
 
-/// Background thread serving `GET /metrics` and `GET /progress` for a
-/// [`MetricsSink`]. Listening starts in [`MetricsServer::start`]; the
-/// socket closes when the server is dropped.
-pub struct MetricsServer {
-    addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    handle: Option<JoinHandle<()>>,
-}
-
-impl MetricsServer {
-    /// Bind `addr` (e.g. `127.0.0.1:9184`; port 0 picks a free port) and
-    /// start serving `sink` in a background thread.
-    pub fn start(addr: &str, sink: Arc<MetricsSink>) -> io::Result<MetricsServer> {
-        let listener = TcpListener::bind(addr)?;
-        let addr = listener.local_addr()?;
-        // Nonblocking accept so the thread can notice the stop flag.
-        listener.set_nonblocking(true)?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop_worker = Arc::clone(&stop);
-        let errors = sink
-            .registry()
-            .counter("mqo_http_errors_total", "HTTP connections that died with an I/O error");
-        let handle = thread::Builder::new().name("mqo-metrics".into()).spawn(move || {
-            while !stop_worker.load(Ordering::Relaxed) {
-                match listener.accept() {
-                    Ok((stream, _)) => {
-                        // A broken scrape must not take the server down —
-                        // but it must be visible in the metrics it broke.
-                        if serve_one(stream, &sink).is_err() {
-                            errors.inc();
-                        }
-                    }
-                    Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                        thread::sleep(Duration::from_millis(5));
-                    }
-                    Err(_) => {
-                        errors.inc();
-                        thread::sleep(Duration::from_millis(5));
-                    }
-                }
-            }
-        })?;
-        Ok(MetricsServer { addr, stop, handle: Some(handle) })
-    }
-
-    /// The bound address (resolves port 0 to the actual port).
-    pub fn addr(&self) -> SocketAddr {
-        self.addr
-    }
-}
-
-impl Drop for MetricsServer {
-    fn drop(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(handle) = self.handle.take() {
-            let _ = handle.join();
+/// Bind `addr` (e.g. `127.0.0.1:9184`; port 0 picks a free port) and
+/// serve `GET /metrics` and `GET /progress` for `sink` in the
+/// background. The socket closes when the returned server is dropped.
+pub fn serve_metrics(addr: &str, sink: Arc<MetricsSink>) -> io::Result<HttpServer> {
+    let errors = http_errors_total(sink.registry());
+    HttpServer::start(addr, errors, move |req, conn| match respond_metrics(&sink, req, conn) {
+        Some(done) => done,
+        None if req.method != "GET" => {
+            conn.respond("405 Method Not Allowed", "text/plain", "only GET\n")
         }
-    }
+        None => conn.respond("404 Not Found", "text/plain", "try /metrics or /progress\n"),
+    })
 }
 
-fn serve_one(stream: TcpStream, sink: &MetricsSink) -> io::Result<()> {
-    let mut conn = HttpConnection::new(stream)?;
-    let mut req = Request::default();
-    let outcome = match conn.read_request(&mut req) {
-        Ok(outcome) => outcome,
-        Err(e) => {
-            // Best-effort 400 so the client sees why, then surface the
-            // error for counting.
-            let _ = conn.respond("400 Bad Request", "text/plain", "bad request\n");
-            return Err(e);
-        }
-    };
-    if outcome == ReadOutcome::Closed {
-        return Ok(());
-    }
-    // The accept loop is single-threaded: honoring keep-alive would let
-    // one scraper monopolize the serving thread. Always close.
-    conn.set_keep_alive(false);
+/// Answer `GET /metrics` (Prometheus text) or `GET /progress` (compact
+/// JSON) from `sink`; `None` when `req` is neither, so the caller routes
+/// it.
+pub fn respond_metrics(
+    sink: &MetricsSink,
+    req: &Request,
+    conn: &mut HttpConnection,
+) -> Option<io::Result<()>> {
     if req.method != "GET" {
-        return conn.respond("405 Method Not Allowed", "text/plain", "only GET\n");
+        return None;
     }
     match req.path.as_str() {
-        "/metrics" => {
-            let body = sink.registry().render_prometheus();
-            conn.respond("200 OK", "text/plain; version=0.0.4", &body)
-        }
+        "/metrics" => Some(conn.respond(
+            "200 OK",
+            "text/plain; version=0.0.4",
+            &sink.registry().render_prometheus(),
+        )),
         "/progress" => {
             let mut body = sink.progress_json();
             body.push('\n');
-            conn.respond("200 OK", "application/json", &body)
+            Some(conn.respond("200 OK", "application/json", &body))
         }
-        _ => conn.respond("404 Not Found", "text/plain", "try /metrics or /progress\n"),
+        _ => None,
     }
 }
 
@@ -125,6 +65,9 @@ mod tests {
     use crate::httpd::http_get;
     use crate::sink::EventSink;
     use std::io::Write as _;
+    use std::net::{TcpListener, TcpStream};
+    use std::thread;
+    use std::time::Duration;
 
     fn sink_with_traffic() -> Arc<MetricsSink> {
         let sink = Arc::new(MetricsSink::new());
@@ -148,7 +91,7 @@ mod tests {
     #[test]
     fn serves_prometheus_text_and_progress_json() {
         let sink = sink_with_traffic();
-        let server = MetricsServer::start("127.0.0.1:0", Arc::clone(&sink)).unwrap();
+        let server = serve_metrics("127.0.0.1:0", Arc::clone(&sink)).unwrap();
         let (status, body) = http_get(server.addr(), "/metrics").unwrap();
         assert!(status.contains("200"), "status: {status}");
         assert!(body.contains("mqo_queries_total 1"), "body: {body}");
@@ -161,7 +104,7 @@ mod tests {
 
     #[test]
     fn unknown_paths_get_404() {
-        let server = MetricsServer::start("127.0.0.1:0", Arc::new(MetricsSink::new())).unwrap();
+        let server = serve_metrics("127.0.0.1:0", Arc::new(MetricsSink::new())).unwrap();
         let (status, _) = http_get(server.addr(), "/nope").unwrap();
         assert!(status.contains("404"), "status: {status}");
     }
@@ -169,7 +112,7 @@ mod tests {
     #[test]
     fn scrapes_see_live_updates() {
         let sink = Arc::new(MetricsSink::new());
-        let server = MetricsServer::start("127.0.0.1:0", Arc::clone(&sink)).unwrap();
+        let server = serve_metrics("127.0.0.1:0", Arc::clone(&sink)).unwrap();
         let (_, before) = http_get(server.addr(), "/metrics").unwrap();
         assert!(before.contains("mqo_queries_total 0"));
         sink.emit(&Event::QueryExecuted {
@@ -186,7 +129,7 @@ mod tests {
     #[test]
     fn connection_errors_are_counted_not_swallowed() {
         let sink = Arc::new(MetricsSink::new());
-        let server = MetricsServer::start("127.0.0.1:0", Arc::clone(&sink)).unwrap();
+        let server = serve_metrics("127.0.0.1:0", Arc::clone(&sink)).unwrap();
         // A client that sends garbage framing and hangs up: the request
         // parse fails, the connection dies, and the error is counted.
         let mut stream = TcpStream::connect(server.addr()).unwrap();
@@ -208,7 +151,7 @@ mod tests {
 
     #[test]
     fn drop_frees_the_port() {
-        let server = MetricsServer::start("127.0.0.1:0", Arc::new(MetricsSink::new())).unwrap();
+        let server = serve_metrics("127.0.0.1:0", Arc::new(MetricsSink::new())).unwrap();
         let addr = server.addr();
         drop(server);
         // The listener is gone; a fresh bind to the same port succeeds.

@@ -1,14 +1,15 @@
 //! Minimal std-only HTTP/1.1 plumbing shared by every endpoint in the
 //! workspace.
 //!
-//! Two hand-rolled servers grew the same request/response code — the
-//! metrics endpoint in [`crate::MetricsServer`] and the classification
-//! service in `mqo-serve`. This module is the one copy both use: a
-//! per-connection parser ([`HttpConnection`]) that reads requests and
-//! writes responses, and a persistent client ([`HttpClient`]) plus a
-//! pair of blocking one-shot helpers ([`http_get`], [`http_post`]) so
-//! integration tests, the load generator, and the smoke scripts all
-//! speak through one correct implementation.
+//! This module is the one copy of the HTTP layer: a per-connection
+//! parser ([`HttpConnection`]) that reads requests and writes responses,
+//! the one server ([`HttpServer`]) that owns the connection lifecycle for
+//! the metrics endpoint ([`crate::serve_metrics`]), the classification
+//! service in `mqo-serve` and the shard router in `mqo-shard`, and a
+//! persistent client ([`HttpClient`]) plus a pair of blocking one-shot
+//! helpers ([`http_get`], [`http_post`]) so integration tests, the load
+//! generator, and the smoke scripts all speak through one correct
+//! implementation.
 //!
 //! It is deliberately not a web framework: headers folded to lowercase
 //! names, bodies only via `Content-Length`, no chunked encoding. But it
@@ -25,7 +26,12 @@
 //! * **Strict framing.** Conflicting duplicate `Content-Length` headers
 //!   (the classic request-smuggling shape) and EOF before the blank
 //!   header terminator (a truncated request) are hard errors, never
-//!   silently accepted.
+//!   silently accepted. [`HttpServer`] answers them with a JSON `400`,
+//!   counts them in `mqo_http_errors_total`, and closes that connection.
+//! * **Clean shutdown.** [`HttpServer::shutdown`] stops the accept loop,
+//!   half-closes every open connection's read side (idle keep-alive
+//!   handlers wake at once; in-flight responses still write), and joins
+//!   every handler before it returns.
 //! * **Buffer reuse.** The connection owns its line, header, and
 //!   response buffers; steady-state request parsing allocates nothing
 //!   per header line.
@@ -33,8 +39,14 @@
 //!   `Content-Length` as raw bytes and decodes them lossily; a non-UTF-8
 //!   body is data, not an I/O error.
 
+use crate::event::escape_json;
+use crate::metrics::Counter;
+use crate::registry::Registry;
 use std::io::{self, BufRead, BufReader, Read, Write};
-use std::net::{Shutdown, SocketAddr, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Mutex, PoisonError};
+use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
 /// Cap on accepted request bodies: a classification batch is a few KB of
@@ -196,9 +208,8 @@ impl HttpConnection {
     }
 
     /// Force `Connection: close` on the next response regardless of what
-    /// the request asked for (single-threaded endpoints like the metrics
-    /// server use this so one client cannot monopolize the serving
-    /// thread).
+    /// the request asked for (a draining server uses this so its
+    /// connection handlers wind down after their current response).
     pub fn set_keep_alive(&mut self, keep_alive: bool) {
         self.keep_alive = keep_alive;
     }
@@ -378,54 +389,160 @@ impl Write for HttpConnection {
     }
 }
 
-/// Read one request from `stream` with a fresh single-use parser.
-/// Convenience for tests and one-connection-at-a-time endpoints; the hot
-/// path should hold an [`HttpConnection`] instead.
-pub fn read_request(stream: &mut TcpStream) -> io::Result<Request> {
-    let mut conn = HttpConnection::new(stream.try_clone()?)?;
+/// The `mqo_http_errors_total` counter on `registry`: connections that
+/// died with an I/O error or malformed framing. Every [`HttpServer`]
+/// counts into the registry its process exposes.
+pub fn http_errors_total(registry: &Registry) -> Arc<Counter> {
+    registry.counter("mqo_http_errors_total", "HTTP connections that died with an I/O error")
+}
+
+/// A connection thread plus a clone of its socket, kept so shutdown can
+/// half-close the socket and wake a handler parked in a blocking read.
+type Handlers = Arc<Mutex<Vec<(JoinHandle<()>, Option<TcpStream>)>>>;
+
+/// The workspace's one HTTP server: a stop-flag accept loop, one thread
+/// per connection running a keep-alive read loop, and a handler registry
+/// that [`HttpServer::shutdown`] drains. Callers supply only the route
+/// logic, as one handler that answers each parsed request on its
+/// connection; an `Err` from it ends the connection and is counted.
+pub struct HttpServer {
+    addr: SocketAddr,
+    stop: Arc<AtomicBool>,
+    accept: Option<JoinHandle<()>>,
+    handlers: Handlers,
+}
+
+impl HttpServer {
+    /// Bind `addr` (port 0 picks a free port) and serve every request
+    /// with `handler` until [`HttpServer::shutdown`] or drop. Connections
+    /// that die with an I/O error or malformed framing increment
+    /// `errors`.
+    pub fn start<H>(addr: &str, errors: Arc<Counter>, handler: H) -> io::Result<HttpServer>
+    where
+        H: Fn(&Request, &mut HttpConnection) -> io::Result<()> + Send + Sync + 'static,
+    {
+        let listener = TcpListener::bind(addr)?;
+        let addr = listener.local_addr()?;
+        // Nonblocking accept so the loop can notice the stop flag.
+        listener.set_nonblocking(true)?;
+        let stop = Arc::new(AtomicBool::new(false));
+        let handlers: Handlers = Arc::default();
+        let accept = {
+            let stop = Arc::clone(&stop);
+            let handlers = Arc::clone(&handlers);
+            let handler = Arc::new(handler);
+            thread::Builder::new().name("mqo-http-accept".into()).spawn(move || {
+                while !stop.load(Ordering::Relaxed) {
+                    match listener.accept() {
+                        Ok((stream, _)) => {
+                            let peer = stream.try_clone().ok();
+                            let handler = Arc::clone(&handler);
+                            let errors_conn = Arc::clone(&errors);
+                            let spawned = thread::Builder::new()
+                                .name("mqo-http-conn".into())
+                                .spawn(move || {
+                                    // The registry may still hold a dup of this
+                                    // socket; dropping our copy alone would not
+                                    // send FIN, leaving a client that reads to
+                                    // EOF hanging until the dup is reaped.
+                                    let closer = stream.try_clone().ok();
+                                    if serve_connection(stream, &*handler).is_err() {
+                                        errors_conn.inc();
+                                    }
+                                    if let Some(s) = closer {
+                                        let _ = s.shutdown(Shutdown::Both);
+                                    }
+                                });
+                            match spawned {
+                                Ok(handle) => {
+                                    let mut reg =
+                                        handlers.lock().unwrap_or_else(PoisonError::into_inner);
+                                    // Reap finished handlers so the registry
+                                    // stays bounded under sustained load.
+                                    reg.retain(|(h, _)| !h.is_finished());
+                                    reg.push((handle, peer));
+                                }
+                                Err(_) => errors.inc(),
+                            }
+                        }
+                        Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+                            thread::sleep(Duration::from_millis(2));
+                        }
+                        Err(_) => {
+                            errors.inc();
+                            thread::sleep(Duration::from_millis(2));
+                        }
+                    }
+                }
+            })?
+        };
+        Ok(HttpServer { addr, stop, accept: Some(accept), handlers })
+    }
+
+    /// The bound address (resolves port 0 to the actual port).
+    pub fn addr(&self) -> SocketAddr {
+        self.addr
+    }
+
+    /// Stop and join the accept loop (dropping the listener, so later
+    /// connections are refused at the socket), half-close the read side
+    /// of every open connection, and join every handler. A request being
+    /// handled finishes and its response still writes; an idle
+    /// keep-alive connection reads EOF at once instead of stalling
+    /// shutdown until its read timeout. Idempotent.
+    pub fn shutdown(&mut self) {
+        self.stop.store(true, Ordering::Relaxed);
+        if let Some(h) = self.accept.take() {
+            let _ = h.join();
+        }
+        let handlers =
+            std::mem::take(&mut *self.handlers.lock().unwrap_or_else(PoisonError::into_inner));
+        for s in handlers.iter().filter_map(|(_, s)| s.as_ref()) {
+            let _ = s.shutdown(Shutdown::Read);
+        }
+        for (h, _) in handlers {
+            let _ = h.join();
+        }
+    }
+}
+
+impl Drop for HttpServer {
+    fn drop(&mut self) {
+        self.shutdown();
+    }
+}
+
+/// One connection's keep-alive loop, reusing one request buffer.
+/// Malformed framing (truncated requests, conflicting `Content-Length`,
+/// header floods) gets a best-effort JSON `400` and surfaces as an error
+/// so the caller counts it — the server itself stays up.
+fn serve_connection<H>(stream: TcpStream, handler: &H) -> io::Result<()>
+where
+    H: Fn(&Request, &mut HttpConnection) -> io::Result<()>,
+{
+    // Some platforms hand out accepted sockets nonblocking like their
+    // listener; the connection loop relies on blocking reads.
+    stream.set_nonblocking(false)?;
+    let mut conn = HttpConnection::new(stream)?;
     let mut req = Request::default();
-    match conn.read_request(&mut req)? {
-        ReadOutcome::Request => Ok(req),
-        ReadOutcome::Closed => Err(io::Error::new(
-            io::ErrorKind::UnexpectedEof,
-            "connection closed before a request arrived",
-        )),
+    loop {
+        match conn.read_request(&mut req) {
+            Ok(ReadOutcome::Closed) => return Ok(()),
+            Ok(ReadOutcome::Request) => handler(&req, &mut conn)?,
+            Err(e) if e.kind() == io::ErrorKind::InvalidData => {
+                conn.set_keep_alive(false);
+                let mut body = String::from("{\"error\":");
+                escape_json(&mut body, &e.to_string());
+                body.push_str("}\n");
+                let _ = conn.respond("400 Bad Request", "application/json", &body);
+                return Err(e);
+            }
+            Err(e) => return Err(e),
+        }
+        if !conn.keep_alive() {
+            return Ok(());
+        }
     }
-}
-
-/// Write a complete `Connection: close` response with no extra headers.
-pub fn respond(
-    stream: &mut TcpStream,
-    status: &str,
-    content_type: &str,
-    body: &str,
-) -> io::Result<()> {
-    respond_with_headers(stream, status, content_type, &[], body)
-}
-
-/// Write a complete `Connection: close` response with extra headers.
-pub fn respond_with_headers(
-    stream: &mut TcpStream,
-    status: &str,
-    content_type: &str,
-    extra_headers: &[(&str, String)],
-    body: &str,
-) -> io::Result<()> {
-    let mut head = format!(
-        "HTTP/1.1 {status}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\n",
-        body.len()
-    );
-    for (name, value) in extra_headers {
-        head.push_str(name);
-        head.push_str(": ");
-        head.push_str(value);
-        head.push_str("\r\n");
-    }
-    head.push_str("Connection: close\r\n\r\n");
-    let mut buf = head.into_bytes();
-    buf.extend_from_slice(body.as_bytes());
-    stream.write_all(&buf)?;
-    stream.flush()
 }
 
 /// A persistent HTTP/1.1 client over one TCP connection: requests reuse

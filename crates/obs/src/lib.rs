@@ -18,13 +18,14 @@
 //!   query → llm_call/retry) stamped by an injectable [`Clock`], exported
 //!   as Chrome trace JSON by [`ChromeTraceSink`] for
 //!   `chrome://tracing` / Perfetto.
-//! - [`Registry`] / [`MetricsSink`] / [`MetricsServer`] — live named
+//! - [`Registry`] / [`MetricsSink`] / [`serve_metrics`] — live named
 //!   counters, gauges and histograms with Prometheus text exposition over
 //!   a std-only HTTP endpoint (`GET /metrics`, `GET /progress`).
-//! - [`httpd`] — the minimal HTTP/1.1 request/response plumbing shared
-//!   by [`MetricsServer`] and the `mqo-serve` classification service,
-//!   plus one-shot [`http_get`] / [`http_post`] clients for tests and
-//!   load generation.
+//! - [`httpd`] — the minimal HTTP/1.1 plumbing: the request parser, the
+//!   one [`HttpServer`] (accept loop, connection threads, framing `400`s,
+//!   shutdown) that the metrics endpoint, the `mqo-serve` classification
+//!   service and the `mqo-shard` router all run on, plus one-shot
+//!   [`http_get`] / [`http_post`] clients for tests and load generation.
 //! - [`CostLedger`] — the token-cost attribution ledger: where every
 //!   prompt token went (billed, pruned, cache-saved, starved), reconciled
 //!   exactly against the usage meter.
@@ -74,8 +75,8 @@ pub use clock::{Clock, ManualClock, MonotonicClock, WaitClock, MONOTONIC_CLOCK};
 pub use cost::{CostLedger, CostReport, RoundCost};
 pub use event::Event;
 pub use flight::{spans_from_events, FlightEntry, FlightRecorder, FlightSpan};
-pub use http::MetricsServer;
-pub use httpd::{http_get, http_post};
+pub use http::{respond_metrics, serve_metrics};
+pub use httpd::{http_get, http_post, HttpServer};
 pub use metrics::{Counter, Gauge, Histogram};
 pub use registry::{CounterVec, GaugeVec, HistogramVec, MetricsSink, Registry};
 pub use sink::{

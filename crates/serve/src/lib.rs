@@ -3,8 +3,9 @@
 //! Everything before this crate runs the paper's pipeline as a one-shot
 //! batch job. This crate turns it into a long-running service: load a
 //! TAG and build the client stack once, then answer classification
-//! requests over std-only HTTP/1.1 (the same no-dependency style as
-//! `mqo_obs::MetricsServer`, sharing its [`mqo_obs::httpd`] plumbing).
+//! requests over std-only HTTP/1.1 on the workspace's one server,
+//! [`mqo_obs::HttpServer`] (accept loop, connection threads, framing
+//! `400`s and shutdown all live in [`mqo_obs::httpd`]).
 //!
 //! The pieces:
 //!
@@ -12,12 +13,14 @@
 //!   `CachedLlm → … → SimLlm` stack, a pseudo-label store (responses can
 //!   boost later requests on neighboring nodes), per-tenant admission
 //!   accounting, and the same crash-safe journal as the batch CLI.
-//! * [`Server`] — the HTTP surface: a slot gate bounding execution
-//!   concurrency in place of the old queue-and-worker-pool hand-off,
-//!   with three admission gates (draining → tenant budget → slot
-//!   backpressure) and a graceful drain that finishes in-flight work and
-//!   seals the journal. Admitted batches run on the connection handler's
-//!   thread through the engine's [`mqo_core::Scheduler`] FIFO path.
+//! * [`Server`] — the routes on that HTTP server: a slot gate bounding
+//!   execution concurrency, four admission gates (draining → tenant
+//!   budget → adaptive shedding → slot backpressure), and a graceful
+//!   drain that shuts the HTTP server down (finishing in-flight work),
+//!   then seals the journal and closes the run span. Admitted batches
+//!   run on the connection handler's thread through the engine's
+//!   [`mqo_core::Scheduler`] FIFO path; classify bodies decode through
+//!   [`mqo_shard::ClassifyRequest`], the codec the router shares.
 //! * [`ServeConfig`] / [`ServerOptions`] — how the engine is built and
 //!   how the server schedules.
 //! * [`signal`] — SIGTERM/SIGINT → drain-requested flag (the only FFI in

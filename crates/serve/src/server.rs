@@ -54,32 +54,30 @@
 //! ## Graceful drain
 //!
 //! [`Server::drain`] runs the shutdown sequence in dependency order:
-//! mark draining (late requests get a clean `503`) → stop the accept
-//! loop and close the listener (later connections are refused outright)
-//! → half-close the read side of open connections (idle keep-alive
-//! handlers wake immediately instead of stalling the drain until their
-//! read timeout) → join connection handlers (every admitted batch
-//! finishes on its handler's thread; permits release as they go, and
-//! in-flight responses still write) → seal the journal
-//! (fsync) → close the run span → flush trace artifacts. Accepted work
-//! always finishes; a restarted server resumes from the sealed journal
-//! re-billing zero tokens.
+//! mark draining (late requests get a clean `503`) → shut down the
+//! shared [`HttpServer`] (it stops the accept loop, half-closes open
+//! connections and joins their handlers; every admitted batch finishes
+//! on its handler's thread, permits release as they go, and in-flight
+//! responses still write) → seal the journal (fsync) → close the run
+//! span → flush trace artifacts. Accepted work always finishes; a
+//! restarted server resumes from the sealed journal re-billing zero
+//! tokens.
 
 use crate::config::ServerOptions;
 use crate::engine::{Engine, Rejection};
 use crate::shed::{Admit, BrownoutTransition, OverloadControl};
 use crate::slots::{AcquireError, SlotGate};
 use mqo_graph::NodeId;
-use mqo_obs::httpd::{HttpConnection, ReadOutcome, Request};
+use mqo_obs::httpd::{http_errors_total, HttpConnection, HttpServer, Request};
 use mqo_obs::{
-    spans_from_events, Clock, Event, EventSink, FlightEntry, FlightSpan, Recorder, SpanId, Tee,
-    MONOTONIC_CLOCK,
+    respond_metrics, spans_from_events, Clock, Event, EventSink, FlightEntry, FlightSpan,
+    Recorder, SpanId, Tee, MONOTONIC_CLOCK,
 };
+use mqo_shard::wire::{json_body, ClassifyRequest};
 use serde_json::{json, Value};
-use std::io::{self, ErrorKind};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::io;
+use std::net::SocketAddr;
+use std::sync::{mpsc, Arc};
 use std::thread::{self, JoinHandle};
 use std::time::Duration;
 
@@ -94,32 +92,20 @@ pub struct DrainReport {
     pub journal_sealed: bool,
 }
 
-/// A handler thread plus a clone of its connection, kept so drain can
-/// half-close the socket and wake a handler parked in a blocking read.
-type HandlerRegistry = Arc<Mutex<Vec<(JoinHandle<()>, Option<TcpStream>)>>>;
-
 /// A running classification server; see the module docs. Construct with
 /// [`Server::start`], stop with [`Server::drain`] (dropping an
 /// undrained server drains it too, discarding the report).
 pub struct Server {
     engine: Arc<Engine>,
-    addr: SocketAddr,
-    stop_accept: Arc<AtomicBool>,
-    accept: Option<JoinHandle<()>>,
-    handlers: HandlerRegistry,
+    http: HttpServer,
     span_close: Option<mpsc::Sender<()>>,
     supervisor: Option<JoinHandle<()>>,
     options: ServerOptions,
 }
 
 impl Server {
-    /// Bind, open the run span, build the slot gate, start the accept
-    /// loop.
+    /// Open the run span, build the slot gate, bind and start serving.
     pub fn start(engine: Arc<Engine>, options: ServerOptions) -> io::Result<Server> {
-        let listener = TcpListener::bind(options.addr.as_str())?;
-        let addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
-
         // The run span lives on a dedicated supervisor thread: it must
         // open before the first query (so query spans have a "run"
         // ancestor) and close after the last handler exits (so span
@@ -150,68 +136,17 @@ impl Server {
             options.queue_capacity.max(1),
         ));
 
-        let stop_accept = Arc::new(AtomicBool::new(false));
-        let handlers: HandlerRegistry = Arc::new(Mutex::new(Vec::new()));
-        let accept = {
-            let stop = Arc::clone(&stop_accept);
-            let handlers = Arc::clone(&handlers);
+        let http = {
             let engine = Arc::clone(&engine);
-            let gate = Arc::clone(&gate);
-            let overload = Arc::clone(&overload);
-            thread::Builder::new().name("mqo-serve-accept".into()).spawn(move || {
-                let errors = engine.metrics().registry().counter(
-                    "mqo_http_errors_total",
-                    "HTTP connections that died with an I/O error",
-                );
-                while !stop.load(Ordering::Relaxed) {
-                    match listener.accept() {
-                        Ok((stream, _)) => {
-                            let engine = Arc::clone(&engine);
-                            let gate = Arc::clone(&gate);
-                            let overload = Arc::clone(&overload);
-                            let errors_conn = Arc::clone(&errors);
-                            // A clone of the stream lets drain half-close
-                            // idle keep-alive connections instead of
-                            // waiting out their read timeouts.
-                            let peer = stream.try_clone().ok();
-                            let closer = stream.try_clone().ok();
-                            let handle = thread::spawn(move || {
-                                if handle_connection(&engine, &gate, &overload, stream).is_err()
-                                {
-                                    errors_conn.inc();
-                                }
-                                // The registry may still hold a dup of this
-                                // socket; dropping our copy alone would not
-                                // send FIN, leaving a client that reads to
-                                // EOF hanging until the dup is reaped.
-                                if let Some(s) = closer {
-                                    let _ = s.shutdown(Shutdown::Both);
-                                }
-                            });
-                            let mut reg = handlers.lock().expect("handler registry");
-                            // Reap finished handlers so the registry stays
-                            // bounded under sustained load.
-                            reg.retain(|(h, _)| !h.is_finished());
-                            reg.push((handle, peer));
-                        }
-                        Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                            thread::sleep(Duration::from_millis(2));
-                        }
-                        Err(_) => {
-                            errors.inc();
-                            thread::sleep(Duration::from_millis(2));
-                        }
-                    }
-                }
+            let errors = http_errors_total(engine.metrics().registry());
+            HttpServer::start(options.addr.as_str(), errors, move |req, conn| {
+                handle_request(&engine, &gate, &overload, req, conn)
             })?
         };
 
         Ok(Server {
             engine,
-            addr,
-            stop_accept,
-            accept: Some(accept),
-            handlers,
+            http,
             span_close: Some(span_close_tx),
             supervisor: Some(supervisor),
             options,
@@ -220,7 +155,7 @@ impl Server {
 
     /// The bound address (resolves port 0 to the actual port).
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.http.addr()
     }
 
     /// The engine this server fronts.
@@ -236,28 +171,12 @@ impl Server {
     fn drain_in_place(&mut self) -> DrainReport {
         // 1. Refuse new classification work with a clean 503.
         self.engine.set_draining();
-        // 2. Stop accepting; joining the accept thread drops the
-        //    listener, so later connections are refused at the socket.
-        self.stop_accept.store(true, Ordering::Relaxed);
-        if let Some(h) = self.accept.take() {
-            let _ = h.join();
-        }
-        // 3. Let in-flight connections finish: every admitted batch runs
-        //    on its handler's thread, so joining the handlers *is*
-        //    draining the work — permits release as batches complete and
-        //    parked waiters run to completion behind them. Half-closing
-        //    the read side first wakes handlers idling between keep-alive
-        //    requests (they would otherwise stall the drain until their
-        //    idle timeout) while leaving in-flight responses writable.
-        let handlers = std::mem::take(&mut *self.handlers.lock().expect("handler registry"));
-        for (_, stream) in &handlers {
-            if let Some(s) = stream {
-                let _ = s.shutdown(Shutdown::Read);
-            }
-        }
-        for (h, _) in handlers {
-            let _ = h.join();
-        }
+        // 2–3. Stop accepting (later connections are refused at the
+        //    socket) and let in-flight connections finish: every admitted
+        //    batch runs on its handler's thread, so joining the handlers
+        //    *is* draining the work — permits release as batches complete
+        //    and parked waiters run to completion behind them.
+        self.http.shutdown();
         // 4. Seal the journal: everything answered is now durable, so a
         //    restarted server replays it without re-billing a token.
         let journal_sealed = match self.engine.journal() {
@@ -289,7 +208,7 @@ impl Server {
 
 impl Drop for Server {
     fn drop(&mut self) {
-        if self.accept.is_some() {
+        if self.supervisor.is_some() {
             self.drain_in_place();
         }
     }
@@ -403,36 +322,14 @@ fn finish_classify(
     status
 }
 
-/// Parse the classify request body: `{"node": N}` or `{"nodes": [..]}`,
-/// optional `"tenant"`. Node ids are validated (and, on shard workers,
-/// translated from global to local id space) by
-/// [`Engine::resolve_node`]. Errors are client errors (400).
+/// Decode the classify request body ([`ClassifyRequest`]) and resolve
+/// its node ids with [`Engine::resolve_node`] (a bounds check, or on
+/// shard workers a global→local translation). Errors are client errors
+/// (400).
 fn parse_classify(req: &Request, engine: &Engine) -> Result<(Vec<NodeId>, String), String> {
-    let body: Value =
-        serde_json::from_str(req.body_utf8()).map_err(|e| format!("invalid JSON body: {e}"))?;
-    let mut raw: Vec<u64> = Vec::new();
-    match (body.get("node"), body.get("nodes")) {
-        (Some(n), None) => raw.push(n.as_u64().ok_or("'node' must be a non-negative integer")?),
-        (None, Some(list)) => {
-            let list = list.as_array().ok_or("'nodes' must be an array")?;
-            if list.is_empty() {
-                return Err("'nodes' must not be empty".into());
-            }
-            for n in list {
-                raw.push(n.as_u64().ok_or("'nodes' entries must be non-negative integers")?);
-            }
-        }
-        _ => return Err("body must have exactly one of 'node' or 'nodes'".into()),
-    }
-    let mut nodes = Vec::with_capacity(raw.len());
-    for n in raw {
-        nodes.push(engine.resolve_node(n)?);
-    }
-    let tenant = match body.get("tenant") {
-        None => "default".to_string(),
-        Some(t) => t.as_str().ok_or("'tenant' must be a string")?.to_string(),
-    };
-    Ok((nodes, tenant))
+    let body = ClassifyRequest::decode(req.body_utf8())?;
+    let nodes = body.nodes.iter().map(|&n| engine.resolve_node(n)).collect::<Result<_, _>>()?;
+    Ok((nodes, body.tenant.unwrap_or_else(|| "default".into())))
 }
 
 /// The absolute deadline (monotonic micros) a classify request runs
@@ -798,15 +695,10 @@ fn handle_labels(engine: &Engine, req: &Request, conn: &mut HttpConnection) -> i
         return json_response(conn, "404 Not Found", &json!({"error": "not a shard worker"}))
             .map(|()| 404);
     }
-    let body: Value = match serde_json::from_str(req.body_utf8()) {
+    let body = match json_body(req.body_utf8()) {
         Ok(v) => v,
         Err(e) => {
-            return json_response(
-                conn,
-                "400 Bad Request",
-                &json!({"error": format!("invalid JSON body: {e}")}),
-            )
-            .map(|()| 400);
+            return json_response(conn, "400 Bad Request", &json!({"error": e})).map(|()| 400)
         }
     };
     let Some(list) = body.get("labels").and_then(|l| l.as_array()) else {
@@ -845,15 +737,42 @@ fn handle_labels(engine: &Engine, req: &Request, conn: &mut HttpConnection) -> i
         .map(|()| 200)
 }
 
-/// Route one parsed request, write its response, and return the HTTP
-/// status for the connection loop's request metrics.
+/// Answer one parsed request: route it, and stamp everything but
+/// classify (which observes itself, knowing the tenant) into the request
+/// metrics under the tenantless label.
 fn handle_request(
     engine: &Engine,
     gate: &SlotGate,
     overload: &OverloadControl,
     req: &Request,
     conn: &mut HttpConnection,
+) -> io::Result<()> {
+    // During a drain, finish this response but stop reusing the
+    // connection so the handler joins promptly.
+    if engine.draining() {
+        conn.set_keep_alive(false);
+    }
+    let started = MONOTONIC_CLOCK.now_micros();
+    let status = route(engine, gate, overload, req, conn)?;
+    if req.path != "/v1/classify" {
+        let latency = MONOTONIC_CLOCK.now_micros().saturating_sub(started);
+        engine.observe_http(route_label(&req.path), "-", status, latency);
+    }
+    Ok(())
+}
+
+/// Route one parsed request, write its response, and return the HTTP
+/// status for the request metrics.
+fn route(
+    engine: &Engine,
+    gate: &SlotGate,
+    overload: &OverloadControl,
+    req: &Request,
+    conn: &mut HttpConnection,
 ) -> io::Result<u16> {
+    if let Some(done) = respond_metrics(engine.metrics(), req, conn) {
+        return done.map(|()| 200);
+    }
     match (req.method.as_str(), req.path.as_str()) {
         ("POST", "/v1/classify") => handle_classify(engine, gate, overload, req, conn),
         ("GET", "/v1/healthz") => {
@@ -888,15 +807,6 @@ fn handle_request(
             engine.request_drain();
             json_response(conn, "202 Accepted", &json!({"draining": true})).map(|()| 202)
         }
-        ("GET", "/metrics") => {
-            let body = engine.metrics().registry().render_prometheus();
-            conn.respond("200 OK", "text/plain; version=0.0.4", &body).map(|()| 200)
-        }
-        ("GET", "/progress") => {
-            let mut body = engine.metrics().progress_json();
-            body.push('\n');
-            conn.respond("200 OK", "application/json", &body).map(|()| 200)
-        }
         ("POST" | "GET", _) => conn
             .respond(
                 "404 Not Found",
@@ -907,52 +817,5 @@ fn handle_request(
         _ => conn
             .respond("405 Method Not Allowed", "text/plain", "only GET/POST\n")
             .map(|()| 405),
-    }
-}
-
-/// Serve one connection: a keep-alive loop reusing one request buffer.
-/// Malformed framing (truncated requests, conflicting `Content-Length`,
-/// header floods) gets a best-effort `400` and surfaces as an error so
-/// the accept loop counts it in `mqo_http_errors_total` — the server
-/// itself stays up.
-fn handle_connection(
-    engine: &Engine,
-    gate: &SlotGate,
-    overload: &OverloadControl,
-    stream: TcpStream,
-) -> io::Result<()> {
-    let mut conn = HttpConnection::new(stream)?;
-    let mut req = Request::default();
-    loop {
-        match conn.read_request(&mut req) {
-            Ok(ReadOutcome::Closed) => return Ok(()),
-            Ok(ReadOutcome::Request) => {}
-            Err(e) if e.kind() == ErrorKind::InvalidData => {
-                conn.set_keep_alive(false);
-                let _ = json_response(
-                    &mut conn,
-                    "400 Bad Request",
-                    &json!({"error": e.to_string()}),
-                );
-                return Err(e);
-            }
-            Err(e) => return Err(e),
-        }
-        // During a drain, finish this response but stop reusing the
-        // connection so the handler joins promptly.
-        if engine.draining() {
-            conn.set_keep_alive(false);
-        }
-        let started = MONOTONIC_CLOCK.now_micros();
-        let status = handle_request(engine, gate, overload, &req, &mut conn)?;
-        // Classify observes itself (it knows the tenant); everything
-        // else lands here under the tenantless label.
-        if req.path != "/v1/classify" {
-            let latency = MONOTONIC_CLOCK.now_micros().saturating_sub(started);
-            engine.observe_http(route_label(&req.path), "-", status, latency);
-        }
-        if !conn.keep_alive() {
-            return Ok(());
-        }
     }
 }

@@ -24,7 +24,11 @@
 //!   exchange: workers push boundary-node pseudo-labels to
 //!   `POST /v1/labels`, the router forwards each to the shards owning
 //!   the node's neighbors, and the receiving worker ingests them so the
-//!   γ₁/γ₂ readiness rule sees remote cues.
+//!   γ₁/γ₂ readiness rule sees remote cues. It runs on the shared
+//!   `mqo_obs::httpd::HttpServer`, like every other endpoint.
+//! * [`ClassifyRequest`] — the one decoder and encoder of the
+//!   `POST /v1/classify` body ([`wire`]), shared by the router and the
+//!   workers so both refuse a malformed body with the same `400`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -33,8 +37,10 @@ pub mod bundle;
 pub mod partition;
 pub mod ring;
 pub mod router;
+pub mod wire;
 
 pub use bundle::{extract_shard, ShardBundle, ShardIdentity};
 pub use partition::{partition, PartitionStrategy, ShardMap, ShardMapError, ShardStats};
 pub use ring::HashRing;
 pub use router::{Router, RouterConfig};
+pub use wire::ClassifyRequest;

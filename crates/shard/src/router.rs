@@ -26,13 +26,17 @@
 //! smoke scripts (and operators) can see a degraded cluster at a glance.
 
 use crate::partition::ShardMap;
-use mqo_obs::httpd::{http_get, HttpClient, HttpConnection, ReadOutcome, Request};
+use crate::wire::{json_body, ClassifyRequest};
+use mqo_obs::httpd::{
+    http_errors_total, http_get, HttpClient, HttpConnection, HttpServer, Request,
+};
 use mqo_obs::{Counter, CounterVec, GaugeVec, Registry};
 use parking_lot::Mutex;
-use serde_json::{json, Map, Value};
+use serde_json::{json, Value};
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::Arc;
 use std::thread::{self, JoinHandle};
@@ -83,12 +87,12 @@ struct Inner {
     upstream_errors: Arc<CounterVec>,
 }
 
-/// The running router process: an accept loop, a health-probe thread,
-/// and per-shard upstream connections. Drop via [`Router::shutdown`].
+/// The running router process: routes on the shared [`HttpServer`], a
+/// health-probe thread, and per-shard upstream connections. Drop via
+/// [`Router::shutdown`].
 pub struct Router {
     inner: Arc<Inner>,
-    addr: SocketAddr,
-    accept: Option<JoinHandle<()>>,
+    http: HttpServer,
     probe: Option<JoinHandle<()>>,
 }
 
@@ -184,21 +188,10 @@ impl Router {
             upstream_errors,
         });
 
-        let listener = TcpListener::bind(addr)?;
-        let local = listener.local_addr()?;
-        let accept = {
+        let http = {
             let inner = inner.clone();
-            thread::Builder::new().name("mqo-route-accept".into()).spawn(move || {
-                for stream in listener.incoming() {
-                    if inner.shutdown.load(Ordering::SeqCst) {
-                        break;
-                    }
-                    let Ok(stream) = stream else { continue };
-                    let inner = inner.clone();
-                    let _ = thread::Builder::new()
-                        .name("mqo-route-conn".into())
-                        .spawn(move || inner.serve_connection(stream));
-                }
+            HttpServer::start(addr, http_errors_total(&inner.registry), move |req, conn| {
+                inner.route(req, conn)
             })?
         };
         let probe = {
@@ -211,12 +204,12 @@ impl Router {
                 }
             })?
         };
-        Ok(Router { inner, addr: local, accept: Some(accept), probe: Some(probe) })
+        Ok(Router { inner, http, probe: Some(probe) })
     }
 
     /// The bound address.
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.http.addr()
     }
 
     /// The router's metric registry (the `/metrics` content).
@@ -229,8 +222,8 @@ impl Router {
         self.inner.shards[shard as usize].ejected.load(Ordering::SeqCst)
     }
 
-    /// Stop accepting, then join the accept and probe threads. In-flight
-    /// connections finish their current request.
+    /// Stop accepting, close every client connection once its current
+    /// request is answered, and join the connection and probe threads.
     pub fn shutdown(mut self) {
         self.stop();
     }
@@ -239,11 +232,7 @@ impl Router {
         if self.inner.shutdown.swap(true, Ordering::SeqCst) {
             return;
         }
-        // Unblock the accept loop with a no-op connection.
-        let _ = TcpStream::connect(self.addr);
-        if let Some(h) = self.accept.take() {
-            let _ = h.join();
-        }
+        self.http.shutdown();
         if let Some(h) = self.probe.take() {
             let _ = h.join();
         }
@@ -260,27 +249,10 @@ impl Drop for Router {
 /// error that killed the connection.
 type Exchange = io::Result<(String, String)>;
 
-impl Inner {
-    fn serve_connection(&self, stream: TcpStream) {
-        let Ok(mut conn) = HttpConnection::new(stream) else { return };
-        let mut req = Request::default();
-        loop {
-            match conn.read_request(&mut req) {
-                Ok(ReadOutcome::Closed) => break,
-                Err(e) => {
-                    let body = jstr(&json!({"error": e.to_string()}));
-                    let _ = conn.respond("400 Bad Request", "application/json", &body);
-                    break;
-                }
-                Ok(ReadOutcome::Request) => {
-                    if self.route(&req, &mut conn).is_err() || !conn.keep_alive() {
-                        break;
-                    }
-                }
-            }
-        }
-    }
+/// A response status and JSON body.
+type Reply = (Cow<'static, str>, String);
 
+impl Inner {
     fn route(&self, req: &Request, conn: &mut HttpConnection) -> io::Result<()> {
         match (req.method.as_str(), req.path.as_str()) {
             ("GET", "/v1/healthz") => {
@@ -301,12 +273,12 @@ impl Inner {
             ("POST", "/v1/classify") => {
                 self.requests.with(&["/v1/classify"]).inc();
                 let (status, body) = self.classify(req);
-                conn.respond(status, "application/json", &body)
+                conn.respond(&status, "application/json", &body)
             }
             ("POST", "/v1/labels") => {
                 self.requests.with(&["/v1/labels"]).inc();
                 let (status, body) = self.relay_labels(req);
-                conn.respond(status, "application/json", &body)
+                conn.respond(&status, "application/json", &body)
             }
             ("GET", _) | ("POST", _) => {
                 self.requests.with(&["other"]).inc();
@@ -386,34 +358,12 @@ impl Inner {
 
     /// Route a classify batch: group global node ids by owner, forward
     /// per-shard sub-batches, reassemble records in request order.
-    fn classify(&self, req: &Request) -> (&'static str, String) {
-        let body: Value = match serde_json::from_str(req.body_utf8()) {
-            Ok(v) => v,
-            Err(e) => return bad_request(format!("invalid JSON body: {e}")),
+    fn classify(&self, req: &Request) -> Reply {
+        let body = match ClassifyRequest::decode(req.body_utf8()) {
+            Ok(body) => body,
+            Err(e) => return bad_request(e),
         };
-        let nodes: Vec<u64> = match (body.get("node"), body.get("nodes")) {
-            (Some(n), None) => match n.as_u64() {
-                Some(n) => vec![n],
-                None => return bad_request("'node' must be a non-negative integer".into()),
-            },
-            (None, Some(list)) => {
-                let Some(list) = list.as_array() else {
-                    return bad_request("'nodes' must be an array".into());
-                };
-                if list.is_empty() {
-                    return bad_request("'nodes' must not be empty".into());
-                }
-                match list.iter().map(Value::as_u64).collect::<Option<Vec<u64>>>() {
-                    Some(v) => v,
-                    None => {
-                        return bad_request(
-                            "'nodes' entries must be non-negative integers".into(),
-                        )
-                    }
-                }
-            }
-            _ => return bad_request("body must have exactly one of 'node' or 'nodes'".into()),
-        };
+        let nodes = &body.nodes;
         if let Some(&bad) = nodes.iter().find(|&&n| n >= u64::from(self.map.num_nodes())) {
             return bad_request(format!(
                 "node {bad} out of range (partition covers {} nodes)",
@@ -423,7 +373,7 @@ impl Inner {
 
         // Group by owner, preserving first-appearance shard order.
         let mut groups: Vec<(u32, Vec<u64>)> = Vec::new();
-        for &n in &nodes {
+        for &n in nodes {
             let owner = self.map.owner(n as u32);
             match groups.iter_mut().find(|(s, _)| *s == owner) {
                 Some((_, g)) => g.push(n),
@@ -439,19 +389,11 @@ impl Inner {
             groups.iter().find(|(s, _)| self.shards[*s as usize].ejected.load(Ordering::SeqCst))
         {
             return (
-                "503 Service Unavailable",
+                "503 Service Unavailable".into(),
                 jstr(&json!({"error": format!("shard {s} is ejected"), "shard": *s})),
             );
         }
 
-        let template: Map<String, Value> = match body {
-            Value::Object(mut o) => {
-                o.remove("node");
-                o.remove("nodes");
-                o
-            }
-            _ => Map::new(),
-        };
         let trace = req.header("x-mqo-trace-id").map(str::to_owned);
 
         let mut by_node: HashMap<u64, Value> = HashMap::with_capacity(nodes.len());
@@ -460,9 +402,8 @@ impl Inner {
         let mut replayed = false;
         let mut tenant = Value::Null;
         for (shard, group) in &groups {
-            let mut sub = template.clone();
-            sub.insert("nodes".into(), json!(group.clone()));
-            let sub = jstr(&Value::Object(sub));
+            let sub =
+                ClassifyRequest { nodes: group.clone(), tenant: body.tenant.clone() }.encode();
             self.routed.with(&[&shard.to_string()]).inc();
             let result = self.exchange(*shard, |c| match &trace {
                 Some(t) => c.post_with_header("/v1/classify", &sub, ("x-mqo-trace-id", t)),
@@ -472,23 +413,19 @@ impl Inner {
                 Ok((status, body)) if status.contains("200") => {
                     serde_json::from_str(&body).ok()
                 }
-                Ok((status, body)) => {
-                    // Upstream answered but refused (shed, draining, …):
-                    // relay its verdict rather than invent one.
-                    let status: &'static str = if status.contains("429") {
-                        "429 Too Many Requests"
-                    } else if status.contains("503") {
-                        "503 Service Unavailable"
-                    } else {
-                        "502 Bad Gateway"
-                    };
-                    return (status, body);
-                }
+                // Upstream answered but refused (bad request, shed,
+                // draining, …): relay its verdict rather than invent one.
+                Ok((status, body)) => match status.split_once(' ') {
+                    Some((_, verdict)) if !verdict.is_empty() => {
+                        return (verdict.to_string().into(), body)
+                    }
+                    _ => None,
+                },
                 Err(_) => None,
             };
             let Some(parsed) = parsed else {
                 return (
-                    "502 Bad Gateway",
+                    "502 Bad Gateway".into(),
                     jstr(
                         &json!({"error": format!("shard {shard} failed mid-batch"), "shard": *shard}),
                     ),
@@ -522,15 +459,15 @@ impl Inner {
         if let (Some(t), Value::Object(o)) = (&trace, &mut out) {
             o.insert("trace".into(), Value::String(t.clone()));
         }
-        ("200 OK", jstr(&out))
+        ("200 OK".into(), jstr(&out))
     }
 
     /// Relay a worker's boundary pseudo-labels to the shards owning the
     /// labeled nodes' neighbors.
-    fn relay_labels(&self, req: &Request) -> (&'static str, String) {
-        let body: Value = match serde_json::from_str(req.body_utf8()) {
+    fn relay_labels(&self, req: &Request) -> Reply {
+        let body = match json_body(req.body_utf8()) {
             Ok(v) => v,
-            Err(e) => return bad_request(format!("invalid JSON body: {e}")),
+            Err(e) => return bad_request(e),
         };
         self.label_pushes.inc();
         let from = body.get("from_shard").and_then(Value::as_u64).unwrap_or(u64::MAX);
@@ -587,7 +524,7 @@ impl Inner {
             }
         }
         (
-            "200 OK",
+            "200 OK".into(),
             jstr(
                 &json!({"forwarded": forwarded, "dropped": dropped, "targets": per_target.len()}),
             ),
@@ -685,8 +622,8 @@ fn jstr(v: &Value) -> String {
     serde_json::to_string(v).expect("response serialization")
 }
 
-fn bad_request(msg: String) -> (&'static str, String) {
-    ("400 Bad Request", jstr(&json!({"error": msg})))
+fn bad_request(msg: String) -> Reply {
+    ("400 Bad Request".into(), jstr(&json!({"error": msg})))
 }
 
 #[cfg(test)]
@@ -695,91 +632,65 @@ mod tests {
     use crate::partition::{partition, PartitionStrategy};
     use mqo_graph::GraphBuilder;
     use mqo_obs::http_post;
+    use std::io::{Read, Write};
+    use std::net::TcpStream;
 
-    /// A scriptable fake shard worker: answers classify with one record
-    /// per node, echoing the node id, until told to die.
+    /// A scriptable fake shard worker on the shared server: answers
+    /// classify with one record per node, echoing the node id, until
+    /// killed.
     struct FakeShard {
         addr: SocketAddr,
-        stop: Arc<AtomicBool>,
-        handle: Option<JoinHandle<usize>>,
+        server: HttpServer,
     }
 
     impl FakeShard {
         fn start(shard_id: u32) -> FakeShard {
-            let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-            listener.set_nonblocking(true).unwrap();
-            let addr = listener.local_addr().unwrap();
-            let stop = Arc::new(AtomicBool::new(false));
-            let stop2 = stop.clone();
-            let handle = thread::spawn(move || {
-                let mut served = 0usize;
-                while !stop2.load(Ordering::SeqCst) {
-                    let stream = match listener.accept() {
-                        Ok((s, _)) => s,
-                        Err(_) => {
-                            thread::sleep(Duration::from_millis(5));
-                            continue;
-                        }
-                    };
-                    stream.set_nonblocking(false).unwrap();
-                    let mut conn = HttpConnection::new(stream).unwrap();
-                    let mut req = Request::default();
-                    while let Ok(ReadOutcome::Request) = conn.read_request(&mut req) {
-                        if stop2.load(Ordering::SeqCst) {
-                            return served;
-                        }
-                        let body = match (req.method.as_str(), req.path.as_str()) {
-                            ("GET", "/v1/healthz") => jstr(&json!({"status": "ok"})),
-                            ("GET", "/v1/stats") => jstr(&json!({
+            FakeShard::start_at("127.0.0.1:0", shard_id).unwrap()
+        }
+
+        fn start_at(addr: &str, shard_id: u32) -> io::Result<FakeShard> {
+            let served = AtomicU32::new(0);
+            let server = HttpServer::start(
+                addr,
+                Arc::new(Counter::new()),
+                move |req, conn| {
+                    let body = match (req.method.as_str(), req.path.as_str()) {
+                        ("GET", "/v1/healthz") => jstr(&json!({"status": "ok"})),
+                        ("GET", "/v1/stats") => {
+                            let served = served.load(Ordering::SeqCst);
+                            jstr(&json!({
                                 "queries": served, "requests": served,
                                 "pseudo_labels": 0, "peak_rss_mb": 10 + shard_id,
-                            })),
-                            ("POST", "/v1/labels") => jstr(&json!({"ingested": true})),
-                            ("POST", "/v1/classify") => {
-                                served += 1;
-                                let v: Value = serde_json::from_str(req.body_utf8()).unwrap();
-                                let records: Vec<Value> = v["nodes"]
-                                    .as_array()
-                                    .unwrap()
-                                    .iter()
-                                    .map(|n| {
-                                        json!({"node": n.clone(), "predicted": shard_id, "correct": true})
-                                    })
-                                    .collect();
-                                jstr(&json!({
-                                    "tenant": v.get("tenant").cloned().unwrap_or(json!("public")),
-                                    "records": records,
-                                    "replayed": false,
-                                    "billed_tokens": 7,
-                                    "degraded": false,
-                                }))
-                            }
-                            _ => jstr(&json!({"error": "?"})),
-                        };
-                        if conn.respond("200 OK", "application/json", &body).is_err() {
-                            break;
+                            }))
                         }
-                        if !conn.keep_alive() {
-                            break;
+                        ("POST", "/v1/labels") => jstr(&json!({"ingested": true})),
+                        ("POST", "/v1/classify") => {
+                            served.fetch_add(1, Ordering::SeqCst);
+                            let v: Value = serde_json::from_str(req.body_utf8()).unwrap();
+                            let records: Vec<Value> = v["nodes"]
+                            .as_array()
+                            .unwrap()
+                            .iter()
+                            .map(|n| json!({"node": n.clone(), "predicted": shard_id, "correct": true}))
+                            .collect();
+                            jstr(&json!({
+                                "tenant": v.get("tenant").cloned().unwrap_or(json!("public")),
+                                "records": records,
+                                "replayed": false,
+                                "billed_tokens": 7,
+                                "degraded": false,
+                            }))
                         }
-                    }
-                }
-                served
-            });
-            FakeShard { addr, stop, handle: Some(handle) }
+                        _ => jstr(&json!({"error": "?"})),
+                    };
+                    conn.respond("200 OK", "application/json", &body)
+                },
+            )?;
+            Ok(FakeShard { addr: server.addr(), server })
         }
 
         fn kill(&mut self) {
-            self.stop.store(true, Ordering::SeqCst);
-            if let Some(h) = self.handle.take() {
-                let _ = h.join();
-            }
-        }
-    }
-
-    impl Drop for FakeShard {
-        fn drop(&mut self) {
-            self.kill();
+            self.server.shutdown();
         }
     }
 
@@ -855,23 +766,12 @@ mod tests {
         assert!(health.contains("\"degraded\""), "healthz: {health}");
 
         // Restart the worker on the same port; the probe re-admits.
-        let listener = loop {
-            match TcpListener::bind(s1.addr) {
-                Ok(l) => break l,
+        let revived = loop {
+            match FakeShard::start_at(&s1.addr.to_string(), 1) {
+                Ok(shard) => break shard,
                 Err(_) => thread::sleep(Duration::from_millis(10)),
             }
         };
-        let revived = thread::spawn(move || {
-            let (stream, _) = listener.accept().unwrap();
-            let mut conn = HttpConnection::new(stream).unwrap();
-            let mut req = Request::default();
-            while let Ok(ReadOutcome::Request) = conn.read_request(&mut req) {
-                let _ = conn.respond("200 OK", "application/json", "{\"status\":\"ok\"}");
-                if !conn.keep_alive() {
-                    break;
-                }
-            }
-        });
         let deadline = std::time::Instant::now() + Duration::from_secs(5);
         while router.is_ejected(1) && std::time::Instant::now() < deadline {
             thread::sleep(Duration::from_millis(20));
@@ -880,7 +780,7 @@ mod tests {
         let (_, health) = http_get(addr, "/v1/healthz").unwrap();
         assert!(health.contains("\"ok\""), "healthz after re-admit: {health}");
         router.shutdown();
-        revived.join().unwrap();
+        drop(revived);
     }
 
     #[test]
@@ -936,6 +836,73 @@ mod tests {
         assert_eq!(v["nodes"].as_u64(), Some(40), "routers advertise the global node range");
         assert_eq!(v["queries"].as_u64(), Some(2));
         assert_eq!(v["peak_rss_mb"].as_u64(), Some(11), "max over workers, not sum");
+        router.shutdown();
+    }
+
+    /// Send `raw` and read one response: the head through the blank line,
+    /// then `Content-Length` bytes of body. The connection stays open.
+    fn raw_exchange(stream: &mut TcpStream, raw: &[u8]) -> String {
+        stream.write_all(raw).unwrap();
+        let mut got = Vec::new();
+        let mut byte = [0u8; 1];
+        while !got.ends_with(b"\r\n\r\n") {
+            stream.read_exact(&mut byte).unwrap();
+            got.push(byte[0]);
+        }
+        let head = String::from_utf8_lossy(&got).into_owned();
+        let len: usize = head
+            .lines()
+            .find_map(|l| l.strip_prefix("Content-Length: "))
+            .and_then(|v| v.trim().parse().ok())
+            .unwrap();
+        let mut body = vec![0u8; len];
+        stream.read_exact(&mut body).unwrap();
+        head + &String::from_utf8_lossy(&body)
+    }
+
+    #[test]
+    fn shutdown_closes_open_keep_alive_connections() {
+        let s0 = FakeShard::start(0);
+        let router =
+            Router::start("127.0.0.1:0", line_map(10, 1), RouterConfig::new(vec![s0.addr]))
+                .unwrap();
+        let mut stream = TcpStream::connect(router.addr()).unwrap();
+        let got = raw_exchange(&mut stream, b"GET /v1/healthz HTTP/1.1\r\nHost: x\r\n\r\n");
+        assert!(got.starts_with("HTTP/1.1 200"), "got: {got}");
+        assert!(got.contains("Connection: keep-alive"), "got: {got}");
+        router.shutdown();
+        // Shorter than the server's 5s idle timeout: only shutdown itself
+        // can close the connection in time.
+        stream.set_read_timeout(Some(Duration::from_secs(2))).unwrap();
+        let mut buf = [0u8; 64];
+        let n = stream.read(&mut buf).expect("EOF, not a timeout, after shutdown");
+        assert_eq!(n, 0, "connection still open after shutdown");
+    }
+
+    #[test]
+    fn framing_errors_get_400_and_are_counted() {
+        let s0 = FakeShard::start(0);
+        let router =
+            Router::start("127.0.0.1:0", line_map(10, 1), RouterConfig::new(vec![s0.addr]))
+                .unwrap();
+        let mut stream = TcpStream::connect(router.addr()).unwrap();
+        let got = raw_exchange(
+            &mut stream,
+            b"POST /v1/classify HTTP/1.1\r\nContent-Length: 5\r\nContent-Length: 9\r\n\r\nhello",
+        );
+        assert!(got.starts_with("HTTP/1.1 400"), "got: {got}");
+        assert!(got.contains("conflicting"), "got: {got}");
+        // The counter moves on the connection thread after the 400 goes
+        // out; poll briefly.
+        let deadline = std::time::Instant::now() + Duration::from_secs(5);
+        let mut metrics = router.registry().render_prometheus();
+        while !metrics.contains("mqo_http_errors_total 1")
+            && std::time::Instant::now() < deadline
+        {
+            thread::sleep(Duration::from_millis(5));
+            metrics = router.registry().render_prometheus();
+        }
+        assert!(metrics.contains("mqo_http_errors_total 1"), "{metrics}");
         router.shutdown();
     }
 }

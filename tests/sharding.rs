@@ -177,6 +177,45 @@ fn boundary_lists_are_symmetric_across_cut_edges() {
     }
 }
 
+/// A client's bad classify body is the client's error at every hop: a
+/// single server and a router in front of it both answer `400` with the
+/// same `error` string (one codec decodes both), never a router `502`.
+#[test]
+fn malformed_classify_bodies_get_the_same_400_direct_and_routed() {
+    let full = full_bundle();
+    let map = partition(full.tag.graph(), 1, 7, PartitionStrategy::EdgeCut);
+    let engine = Engine::new(full, worker_cfg()).map(Arc::new).expect("engine");
+    let options = ServerOptions { addr: "127.0.0.1:0".into(), ..ServerOptions::default() };
+    let server = Server::start(engine, options).expect("server");
+    let router = Router::start("127.0.0.1:0", map, RouterConfig::new(vec![server.addr()]))
+        .expect("router");
+    for body in [
+        r#"{}"#,
+        r#"{"tenant": "acme"}"#,
+        r#"{"node": 1, "nodes": [2]}"#,
+        r#"{"nodes": []}"#,
+        r#"{"nodes": [1, -2]}"#,
+        r#"{"nodes": [1, 2.5]}"#,
+        r#"{"node": -1}"#,
+        r#"{"nodes": [1], "tenant": 5}"#,
+        r#"{"nodes": [1"#,
+        "not json",
+    ] {
+        let (direct_status, direct) = classify(server.addr(), body);
+        let (routed_status, routed) = classify(router.addr(), body);
+        assert!(direct_status.contains("400"), "direct {body}: {direct_status} {direct:?}");
+        assert!(routed_status.contains("400"), "routed {body}: {routed_status} {routed:?}");
+        let error = direct.get("error").and_then(|e| e.as_str()).expect("direct error string");
+        assert_eq!(
+            routed.get("error").and_then(|e| e.as_str()),
+            Some(error),
+            "router and server disagree on {body}"
+        );
+    }
+    router.shutdown();
+    server.drain();
+}
+
 /// A worker drain must not wait out the idle-read timeout of parked
 /// keep-alive connections (the router keeps one per worker open at all
 /// times) — drain half-closes them and finishes promptly.
