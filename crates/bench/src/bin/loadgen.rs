@@ -74,7 +74,7 @@
 
 use mqo_obs::httpd::HttpClient;
 use mqo_obs::{http_get, http_post};
-use mqo_shard::ShardMap;
+use mqo_shard::{ClassifyRequest, ShardMap};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashMap;
@@ -214,13 +214,8 @@ fn node_picks(k: usize, plan: &Plan) -> Vec<usize> {
 
 /// Body for request `k` (see [`node_picks`] for determinism).
 fn build_body(k: usize, plan: &Plan) -> String {
-    let picks = node_picks(k, plan);
-    if plan.batch == 1 {
-        format!("{{\"node\": {}, \"tenant\": \"{}\"}}", picks[0], plan.tenant)
-    } else {
-        let nodes: Vec<String> = picks.iter().map(usize::to_string).collect();
-        format!("{{\"nodes\": [{}], \"tenant\": \"{}\"}}", nodes.join(", "), plan.tenant)
-    }
+    let nodes = node_picks(k, plan).into_iter().map(|n| n as u64).collect();
+    ClassifyRequest { nodes, tenant: Some(plan.tenant.clone()) }.encode()
 }
 
 /// POST over the worker's persistent connection, returning the status
@@ -924,11 +919,16 @@ mod tests {
     }
 
     #[test]
-    fn body_shape_matches_batch_flag() {
-        let single = build_body(0, &plan(1, 7));
-        assert!(single.contains("\"node\":"), "{single}");
-        let multi = build_body(0, &plan(3, 7));
-        assert!(multi.contains("\"nodes\": ["), "{multi}");
+    fn bodies_round_trip_through_the_request_codec() {
+        for (batch, tenant) in [(1, "default"), (3, "acme"), (2, "a \"quoted\" tenant")] {
+            let p = Plan { tenant: tenant.into(), ..plan(batch, 7) };
+            for k in 0..4 {
+                let req = ClassifyRequest::decode(&build_body(k, &p)).unwrap();
+                let picks: Vec<u64> = node_picks(k, &p).into_iter().map(|n| n as u64).collect();
+                assert_eq!(req.nodes, picks);
+                assert_eq!(req.tenant.as_deref(), Some(tenant));
+            }
+        }
     }
 
     #[test]

@@ -25,13 +25,12 @@ use mqo_core::boosting::{BoostConfig, DegradePolicy};
 use mqo_core::journal::{RunHeader, RunJournal};
 use mqo_core::metrics::ConfusionMatrix;
 use mqo_core::planner::plan_campaign;
-use mqo_core::predictor::{KhopRandom, LlmRanked, Predictor, Sns, ZeroShot};
 use mqo_core::pruning::PrunePlan;
 use mqo_core::surrogate::SurrogateConfig;
 use mqo_core::{Executor, InadequacyScorer, LabelStore, Labels, SchedulePolicy, Scheduler};
 use mqo_data::{dataset, persist, DatasetBundle, DatasetId};
 use mqo_fault::{FaultConfig, FaultSchedule, FaultyLlm};
-use mqo_graph::{LabeledSplit, NodeId, SplitConfig};
+use mqo_graph::NodeId;
 use mqo_llm::{
     CachedLlm, LanguageModel, LenientLlm, ModelProfile, ResilienceConfig, ResilientLlm,
     RetryingLlm, SimLlm, ValidatingLlm,
@@ -40,10 +39,8 @@ use mqo_obs::{
     serve_metrics, ChromeTraceSink, CostLedger, Fanout, MetricsSink, MonotonicClock, SpanId,
     Tracer, WaitClock,
 };
-use mqo_serve::{ServeConfig, ServerOptions};
+use mqo_serve::{make_predictor, split_for, ServeConfig, ServerOptions};
 use mqo_token::GPT_35_TURBO_0125;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use std::collections::HashMap;
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -264,35 +261,6 @@ fn resolve_bundle(arg: &str, scale: Option<f64>, seed: u64) -> Result<DatasetBun
         return persist::load(path, spec).map_err(|e| format!("cannot load {arg}: {e}"));
     }
     Err(format!("'{arg}' is neither a known dataset nor an existing file"))
-}
-
-fn make_predictor(method: &str, bundle: &DatasetBundle) -> Result<Box<dyn Predictor>, String> {
-    let n = bundle.tag.num_nodes();
-    Ok(match method {
-        "zero-shot" => Box::new(ZeroShot),
-        "1hop" => Box::new(KhopRandom::new(1, n)),
-        "2hop" => Box::new(KhopRandom::new(2, n)),
-        "sns" => Box::new(Sns::fit(&bundle.tag)),
-        "llmrank" => Box::new(LlmRanked::fit(&bundle.tag, 2)),
-        other => return Err(format!("unknown method '{other}'")),
-    })
-}
-
-fn split_for(
-    bundle: &DatasetBundle,
-    queries: usize,
-    seed: u64,
-) -> Result<LabeledSplit, String> {
-    let cfg = match bundle.spec.split {
-        SplitConfig::PerClass { per_class, .. } => {
-            SplitConfig::PerClass { per_class, num_queries: queries }
-        }
-        SplitConfig::Fraction { labeled_fraction, .. } => {
-            SplitConfig::Fraction { labeled_fraction, num_queries: queries }
-        }
-    };
-    LabeledSplit::generate(&bundle.tag, cfg, &mut StdRng::seed_from_u64(seed))
-        .map_err(|e| format!("cannot split: {e}"))
 }
 
 fn cmd_generate(pos: &[String], flags: &HashMap<String, String>) -> Result<(), String> {

@@ -2,11 +2,10 @@
 
 use mqo_core::surrogate::SurrogateConfig;
 use mqo_data::{dataset, DatasetBundle, DatasetId};
-use mqo_graph::{LabeledSplit, SplitConfig};
+use mqo_graph::LabeledSplit;
 use mqo_llm::{ModelProfile, SimLlm};
 use mqo_obs::{Event, EventSink, FileSink, Recorder, Summary};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use mqo_serve::split_for;
 use std::path::Path;
 use std::sync::Arc;
 
@@ -132,20 +131,8 @@ pub struct ExperimentCtx {
 /// Generate dataset, split, and model for an experiment.
 pub fn setup(id: DatasetId, profile: ModelProfile) -> ExperimentCtx {
     let bundle = dataset(id, Some(scale_for(id)), SEED);
-    let split_cfg = match bundle.spec.split {
-        SplitConfig::PerClass { per_class, .. } => {
-            SplitConfig::PerClass { per_class, num_queries: num_queries() }
-        }
-        SplitConfig::Fraction { labeled_fraction, .. } => {
-            SplitConfig::Fraction { labeled_fraction, num_queries: num_queries() }
-        }
-    };
-    let split = LabeledSplit::generate(
-        &bundle.tag,
-        split_cfg,
-        &mut StdRng::seed_from_u64(SEED ^ 0x511),
-    )
-    .expect("standard splits are feasible on generated datasets");
+    let split = split_for(&bundle, num_queries(), SEED ^ 0x511)
+        .expect("standard splits are feasible on generated datasets");
     let llm = SimLlm::new(bundle.lexicon.clone(), bundle.tag.class_names().to_vec(), profile);
     ExperimentCtx { bundle, split, llm, id }
 }

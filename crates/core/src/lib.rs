@@ -31,8 +31,8 @@
 //!   with a completion channel, and pluggable [`sched::SchedulePolicy`]
 //!   implementations recovering FIFO, width-N, prefix-coherent batched,
 //!   and cue-gated execution.
-//! * [`parallel`] — shims for the historical multi-threaded entry points
-//!   (now thin wrappers over [`sched`]).
+//! * [`parallel`] — worker-panic containment for [`sched`]'s pooled
+//!   policies.
 //! * [`stream`] — online classification with boosting over an arrival
 //!   stream (the introduction's dynamic-node scenario).
 //! * [`planner`] — dollars → tokens → τ campaign planning before any LLM

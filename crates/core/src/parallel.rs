@@ -1,31 +1,19 @@
-//! Parallel multi-query execution.
-//!
-//! Queries inside one round of the paper's execution model are
-//! *independent* — they share no state until their pseudo-labels are folded
-//! in after the round — so they can be dispatched concurrently, exactly as
-//! a production deployment would batch requests against an LLM endpoint.
-//!
-//! The parallel path preserves the sequential path's results bit-for-bit:
-//! per-query RNGs are derived from `(executor seed, node)` (see
-//! [`Executor::query_rng`]), the [`mqo_token::UsageMeter`] is thread-safe,
-//! and records are re-assembled in input order.
-//!
-//! Scoped threads come from `std::thread::scope` (no `'static` bounds on
-//! the executor borrows). A panic inside one query is contained to that
-//! query: the survivors drain the remaining work, the panicked query is
-//! recorded as a failed outcome ([`crate::executor::QueryRecord::failure`]), and
-//! [`mqo_obs::Event::WorkerLost`] reports the containment — a run is
-//! never lost to one bad query.
+//! Worker-panic containment for the scheduler's pooled policies, and
+//! the pre-scheduler pooled paths kept as test oracles. A panic inside
+//! one query is contained to that query: the survivors drain the
+//! remaining work, the panicked query is recorded as a failed outcome
+//! ([`crate::executor::QueryRecord::failure`]), and
+//! [`mqo_obs::Event::WorkerLost`] reports the containment. The tests
+//! here pin that, and bit-for-bit equality with the sequential path, on
+//! [`crate::Scheduler`]'s `Parallel` and `Batched` policies.
 
-use crate::error::Result;
-use crate::executor::{ExecOutcome, Executor};
-use crate::labels::LabelStore;
-use crate::predictor::Predictor;
-use mqo_graph::NodeId;
 #[cfg(test)]
 use {
-    crate::error::Error,
-    crate::executor::QueryRecord,
+    crate::error::{Error, Result},
+    crate::executor::{ExecOutcome, Executor, QueryRecord},
+    crate::labels::LabelStore,
+    crate::predictor::Predictor,
+    mqo_graph::NodeId,
     parking_lot::Mutex,
     std::panic::{catch_unwind, AssertUnwindSafe},
 };
@@ -40,63 +28,6 @@ pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     } else {
         "non-string panic payload".to_string()
     }
-}
-
-/// Execute `queries` across `threads` workers. Semantically identical to
-/// [`Executor::run_all`] (same records, same order); only wall-clock and
-/// the interleaving of meter updates differ.
-///
-/// Shim over the event-driven scheduler's width-N policy (see
-/// [`crate::sched::Scheduler`]); semantics are unchanged.
-pub fn run_all_parallel(
-    exec: &Executor<'_>,
-    predictor: &dyn Predictor,
-    labels: &LabelStore,
-    queries: &[NodeId],
-    prune_set: impl Fn(NodeId) -> bool + Sync,
-    threads: usize,
-) -> Result<ExecOutcome> {
-    let report =
-        crate::sched::Scheduler::new(exec, crate::sched::SchedulePolicy::Parallel { threads })
-            .run(predictor, crate::sched::Labels::Fixed(labels), queries, prune_set)?;
-    Ok(report.outcome)
-}
-
-/// Execute `queries` across `threads` workers in **prefix-coherent
-/// batches**: prompts are pre-rendered, sorted lexicographically (queries
-/// whose rendered prompts share long leading segments become neighbors),
-/// and chunked into batches of `batch_size` that workers claim whole.
-///
-/// A serving-side prefix cache (vLLM-style radix attention, or a provider's
-/// prompt-caching tier) keys reuse on *adjacency in arrival order*; this
-/// scheduler maximizes that adjacency without changing any result. Records
-/// are still re-assembled in input order and are bit-for-bit identical to
-/// [`Executor::run_all`] — pre-rendering is safe because per-query RNGs
-/// derive from `(seed, node)` alone, so the render inside `run_one` repeats
-/// the estimate render exactly.
-///
-/// Each dispatched batch emits [`mqo_obs::Event::BatchDispatched`] carrying
-/// the tokens shared between consecutive prompts inside the batch (measured
-/// with [`mqo_cache::common_prefix_tokens`]) — the realized reuse a
-/// prefix-caching endpoint would see from this ordering.
-///
-/// Shim over the event-driven scheduler's batched policy (see
-/// [`crate::sched::Scheduler`]); semantics are unchanged.
-pub fn run_all_batched(
-    exec: &Executor<'_>,
-    predictor: &dyn Predictor,
-    labels: &LabelStore,
-    queries: &[NodeId],
-    prune_set: impl Fn(NodeId) -> bool + Sync,
-    threads: usize,
-    batch_size: usize,
-) -> Result<ExecOutcome> {
-    let report = crate::sched::Scheduler::new(
-        exec,
-        crate::sched::SchedulePolicy::Batched { threads, batch_size },
-    )
-    .run(predictor, crate::sched::Labels::Fixed(labels), queries, prune_set)?;
-    Ok(report.outcome)
 }
 
 /// The pre-scheduler pooled paths, kept verbatim as oracles for the
@@ -302,6 +233,7 @@ mod tests {
     use super::*;
     use crate::predictor::test_fixtures::two_cliques;
     use crate::predictor::{KhopRandom, SelectCtx};
+    use crate::sched::{Labels, SchedulePolicy, Scheduler};
     use mqo_data::{dataset, DatasetId};
     use mqo_graph::{LabeledSplit, SplitConfig};
     use mqo_llm::{LanguageModel, ModelProfile, SimLlm};
@@ -328,8 +260,10 @@ mod tests {
         let predictor = KhopRandom::new(1, tag.num_nodes());
 
         let seq = exec.run_all(&predictor, &labels, split.queries(), |_| false).unwrap();
-        let par = run_all_parallel(&exec, &predictor, &labels, split.queries(), |_| false, 4)
-            .unwrap();
+        let par = Scheduler::new(&exec, SchedulePolicy::Parallel { threads: 4 })
+            .run(&predictor, Labels::Fixed(&labels), split.queries(), |_| false)
+            .unwrap()
+            .outcome;
         assert_eq!(seq.records, par.records, "parallel execution changed results");
         // Meter totals also agree (both runs doubled the counts).
         assert_eq!(llm.meter().totals().requests as usize, 2 * split.queries().len());
@@ -343,7 +277,10 @@ mod tests {
         let labels = LabelStore::empty(tag.num_nodes());
         let p = KhopRandom::new(1, tag.num_nodes());
         let qs: Vec<NodeId> = (0..6).map(NodeId).collect();
-        let out = run_all_parallel(&exec, &p, &labels, &qs, |v| v.0 % 2 == 0, 3).unwrap();
+        let out = Scheduler::new(&exec, SchedulePolicy::Parallel { threads: 3 })
+            .run(&p, Labels::Fixed(&labels), &qs, |v| v.0 % 2 == 0)
+            .unwrap()
+            .outcome;
         for r in &out.records {
             assert_eq!(r.pruned, r.node.0 % 2 == 0 || r.neighbors_included == 0);
         }
@@ -356,7 +293,12 @@ mod tests {
         let exec = Executor::new(&tag, &llm, 4, 0).with_budget(100);
         let labels = LabelStore::empty(tag.num_nodes());
         let p = KhopRandom::new(1, tag.num_nodes());
-        let err = run_all_parallel(&exec, &p, &labels, &[NodeId(0)], |_| false, 2);
+        let err = Scheduler::new(&exec, SchedulePolicy::Parallel { threads: 2 }).run(
+            &p,
+            Labels::Fixed(&labels),
+            &[NodeId(0)],
+            |_| false,
+        );
         assert!(matches!(err, Err(Error::Config { .. })));
     }
 
@@ -368,7 +310,12 @@ mod tests {
         let exec = Executor::new(&tag, &llm, 4, 0);
         let labels = LabelStore::empty(tag.num_nodes());
         let p = KhopRandom::new(1, tag.num_nodes());
-        let _ = run_all_parallel(&exec, &p, &labels, &[], |_| false, 0);
+        let _ = Scheduler::new(&exec, SchedulePolicy::Parallel { threads: 0 }).run(
+            &p,
+            Labels::Fixed(&labels),
+            &[],
+            |_| false,
+        );
     }
 
     #[test]
@@ -380,7 +327,9 @@ mod tests {
         let labels = LabelStore::empty(tag.num_nodes());
         let p = KhopRandom::new(1, tag.num_nodes());
         let qs: Vec<NodeId> = (0..6).map(NodeId).collect();
-        run_all_parallel(&exec, &p, &labels, &qs, |_| false, 3).unwrap();
+        Scheduler::new(&exec, SchedulePolicy::Parallel { threads: 3 })
+            .run(&p, Labels::Fixed(&labels), &qs, |_| false)
+            .unwrap();
         let reports = sink.of_kind("worker_throughput");
         assert_eq!(reports.len(), 3, "one report per worker");
         let total: u64 = reports
@@ -413,9 +362,10 @@ mod tests {
         let predictor = KhopRandom::new(1, tag.num_nodes());
 
         let seq = exec.run_all(&predictor, &labels, split.queries(), |_| false).unwrap();
-        let bat =
-            run_all_batched(&exec, &predictor, &labels, split.queries(), |_| false, 4, 16)
-                .unwrap();
+        let bat = Scheduler::new(&exec, SchedulePolicy::Batched { threads: 4, batch_size: 16 })
+            .run(&predictor, Labels::Fixed(&labels), split.queries(), |_| false)
+            .unwrap()
+            .outcome;
         assert_eq!(seq.records, bat.records, "batched execution changed results");
     }
 
@@ -428,7 +378,9 @@ mod tests {
         let labels = LabelStore::empty(tag.num_nodes());
         let p = KhopRandom::new(1, tag.num_nodes());
         let qs: Vec<NodeId> = (0..6).map(NodeId).collect();
-        run_all_batched(&exec, &p, &labels, &qs, |_| false, 2, 4).unwrap();
+        Scheduler::new(&exec, SchedulePolicy::Batched { threads: 2, batch_size: 4 })
+            .run(&p, Labels::Fixed(&labels), &qs, |_| false)
+            .unwrap();
         let dispatched = sink.of_kind("batch_dispatched");
         assert_eq!(dispatched.len(), 2, "6 queries at batch size 4 → 2 batches");
         let covered: u64 = dispatched
@@ -448,7 +400,8 @@ mod tests {
         let exec = Executor::new(&tag, &llm, 4, 0).with_budget(100);
         let labels = LabelStore::empty(tag.num_nodes());
         let p = KhopRandom::new(1, tag.num_nodes());
-        let err = run_all_batched(&exec, &p, &labels, &[NodeId(0)], |_| false, 2, 4);
+        let err = Scheduler::new(&exec, SchedulePolicy::Batched { threads: 2, batch_size: 4 })
+            .run(&p, Labels::Fixed(&labels), &[NodeId(0)], |_| false);
         assert!(matches!(err, Err(Error::Config { .. })));
     }
 
@@ -460,7 +413,8 @@ mod tests {
         let exec = Executor::new(&tag, &llm, 4, 0);
         let labels = LabelStore::empty(tag.num_nodes());
         let p = KhopRandom::new(1, tag.num_nodes());
-        let _ = run_all_batched(&exec, &p, &labels, &[], |_| false, 1, 0);
+        let _ = Scheduler::new(&exec, SchedulePolicy::Batched { threads: 1, batch_size: 0 })
+            .run(&p, Labels::Fixed(&labels), &[], |_| false);
     }
 
     /// A predictor that panics on a specific node — exercises panic
@@ -493,7 +447,10 @@ mod tests {
         let labels = LabelStore::empty(tag.num_nodes());
         let p = PanicOn(NodeId(2));
         let qs: Vec<NodeId> = (0..4).map(NodeId).collect();
-        let out = run_all_parallel(&exec, &p, &labels, &qs, |_| false, 2).unwrap();
+        let out = Scheduler::new(&exec, SchedulePolicy::Parallel { threads: 2 })
+            .run(&p, Labels::Fixed(&labels), &qs, |_| false)
+            .unwrap()
+            .outcome;
         assert_eq!(out.records.len(), 4, "no completed query was lost");
         assert_eq!(out.failed(), 1);
         let failed = out.records.iter().find(|r| r.node == NodeId(2)).unwrap();
@@ -525,7 +482,10 @@ mod tests {
         let labels = LabelStore::empty(tag.num_nodes());
         let p = PanicOn(NodeId(1));
         let qs: Vec<NodeId> = (0..4).map(NodeId).collect();
-        let out = run_all_batched(&exec, &p, &labels, &qs, |_| false, 2, 2).unwrap();
+        let out = Scheduler::new(&exec, SchedulePolicy::Batched { threads: 2, batch_size: 2 })
+            .run(&p, Labels::Fixed(&labels), &qs, |_| false)
+            .unwrap()
+            .outcome;
         assert_eq!(out.records.len(), 4);
         assert_eq!(out.failed(), 1);
         assert!(out.records.iter().find(|r| r.node == NodeId(1)).unwrap().failed());

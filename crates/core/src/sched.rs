@@ -2,7 +2,9 @@
 //!
 //! One entry point — [`Scheduler::run`] — replaces the four historical
 //! orchestration paths (`run_all`, `run_all_parallel`, `run_all_batched`,
-//! and the boosting round loop), which survive as thin shims. A
+//! and the boosting round loop). `Executor::run_all` and the boosting
+//! entry points survive as thin shims; pooled callers build a
+//! [`Scheduler`] directly. A
 //! [`SchedulePolicy`] picks how work becomes *ready*:
 //!
 //! * [`SchedulePolicy::Fifo`] — queries run inline, in input order, on the
@@ -71,13 +73,13 @@ pub enum SchedulePolicy {
     /// (recovers `Executor::run_all`). Supports the hard budget.
     Fifo,
     /// Dispatch every query immediately across a fixed worker pool
-    /// (recovers `run_all_parallel`).
+    /// (recovers the former `run_all_parallel`).
     Parallel {
         /// Worker-pool width (must be ≥ 1).
         threads: usize,
     },
     /// Dispatch prefix-coherent batches across a fixed worker pool
-    /// (recovers `run_all_batched`).
+    /// (recovers the former `run_all_batched`).
     Batched {
         /// Worker-pool width (must be ≥ 1).
         threads: usize,
@@ -960,7 +962,7 @@ mod tests {
     use crate::boosting::{
         run_with_boosting_policy, run_with_boosting_policy_legacy, RoundTrace,
     };
-    use crate::parallel::{legacy, run_all_batched, run_all_parallel};
+    use crate::parallel::legacy;
     use crate::predictor::KhopRandom;
     use crate::pruning::PrunePlan;
     use mqo_fault::{FaultConfig, FaultSchedule, FaultyLlm};
@@ -1149,15 +1151,19 @@ mod tests {
                 &exec, &predictor, &labels, &queries, |_| false, threads,
             )
             .unwrap();
-            let par = run_all_parallel(&exec, &predictor, &labels, &queries, |_| false, threads)
-                .unwrap();
+            let par = Scheduler::new(&exec, SchedulePolicy::Parallel { threads })
+                .run(&predictor, Labels::Fixed(&labels), &queries, |_| false)
+                .unwrap()
+                .outcome;
             let bat_legacy = legacy::run_all_batched(
                 &exec, &predictor, &labels, &queries, |_| false, threads, batch,
             )
             .unwrap();
             let bat =
-                run_all_batched(&exec, &predictor, &labels, &queries, |_| false, threads, batch)
-                    .unwrap();
+                Scheduler::new(&exec, SchedulePolicy::Batched { threads, batch_size: batch })
+                    .run(&predictor, Labels::Fixed(&labels), &queries, |_| false)
+                    .unwrap()
+                    .outcome;
 
             prop_assert_eq!(&seq.records, &par_legacy.records);
             prop_assert_eq!(&seq.records, &par.records);

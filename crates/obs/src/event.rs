@@ -23,7 +23,8 @@ pub enum Event {
         /// Wall-clock time for the query, in microseconds.
         wall_micros: u64,
     },
-    /// One worker thread of `run_all_parallel` drained its share.
+    /// One worker thread of the scheduler's pooled policies drained its
+    /// share.
     WorkerThroughput {
         /// Worker index (0-based).
         worker: u32,

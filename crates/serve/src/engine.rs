@@ -13,9 +13,9 @@
 //! billing-free from its journal.
 
 use crate::config::ServeConfig;
-use crate::shard::{peak_rss_mb, OutboundLabel, ShardContext};
+use crate::shard::{peak_rss_mb, ShardContext};
 use crate::tenant::{TenantExhausted, TenantTable};
-use mqo_core::journal::{record_to_json, RunHeader, RunJournal};
+use mqo_core::journal::{RunHeader, RunJournal};
 use mqo_core::predictor::{KhopRandom, LlmRanked, Predictor, Sns, ZeroShot};
 use mqo_core::{Executor, LabelStore, Labels, QueryRecord, SchedulePolicy, Scheduler};
 use mqo_data::DatasetBundle;
@@ -30,7 +30,7 @@ use mqo_obs::{
     HistogramVec, MetricsSink, MonotonicClock, SloConfig, SloTracker, SpanId, Tee, Tracer,
     WaitClock,
 };
-use mqo_shard::{ShardBundle, ShardMap};
+use mqo_shard::{Label, ShardBundle, ShardMap};
 use mqo_token::ledger::Totals;
 use parking_lot::RwLock;
 use rand::rngs::StdRng;
@@ -70,25 +70,6 @@ pub struct ProcessedBatch {
     /// Whether brown-out degraded this batch: every query ran with a
     /// pruned, neighbor-free prompt (Algorithm 1's top-τ% treatment).
     pub degraded: bool,
-}
-
-impl ProcessedBatch {
-    /// The response body for `POST /v1/classify`.
-    pub fn to_json(&self, tenant: &str) -> Value {
-        let mut v = json!({
-            "tenant": tenant,
-            "records": self.records.iter().map(record_to_json).collect::<Vec<_>>(),
-            "replayed": self.replayed,
-            "billed_tokens": self.billed_tokens,
-            "degraded": self.degraded,
-        });
-        if !self.trace.is_empty() {
-            if let Value::Object(o) = &mut v {
-                o.insert("trace".into(), Value::String(self.trace.clone()));
-            }
-        }
-        v
-    }
 }
 
 /// The serving engine; see the module docs. Shared as `Arc<Engine>`
@@ -149,7 +130,12 @@ fn splitmix64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-fn make_predictor(method: &str, bundle: &DatasetBundle) -> Result<Box<dyn Predictor>, String> {
+/// The neighbor-selection strategy a `--method` name stands for: the
+/// paper's zero-shot, k-hop random, SNS and LLM-ranked predictors.
+pub fn make_predictor(
+    method: &str,
+    bundle: &DatasetBundle,
+) -> Result<Box<dyn Predictor>, String> {
     let n = bundle.tag.num_nodes();
     Ok(match method {
         "zero-shot" => Box::new(ZeroShot),
@@ -161,7 +147,10 @@ fn make_predictor(method: &str, bundle: &DatasetBundle) -> Result<Box<dyn Predic
     })
 }
 
-fn split_for(
+/// The dataset's labeled/query split with `queries` query nodes, drawn
+/// from `seed`: the spec's per-class or fractional `V_L` rule, with the
+/// query count overridden.
+pub fn split_for(
     bundle: &DatasetBundle,
     queries: usize,
     seed: u64,
@@ -456,7 +445,7 @@ impl Engine {
     /// ingested — an owned node's pseudo-labels are minted here, and a
     /// node absent from this shard's halo cannot cue any local prompt.
     /// Returns how many were accepted.
-    pub fn ingest_remote_labels(&self, labels: &[(u64, u16)]) -> usize {
+    pub fn ingest_remote_labels(&self, labels: &[Label]) -> usize {
         let Some(ctx) = &self.shard else {
             return 0;
         };
@@ -464,16 +453,16 @@ impl Engine {
         let mut accepted = 0usize;
         {
             let mut store = self.labels.write();
-            for &(global, label) in labels {
-                if label >= num_classes {
+            for l in labels {
+                if l.label >= num_classes {
                     continue;
                 }
-                let Ok(global) = u32::try_from(global) else {
+                let Ok(global) = u32::try_from(l.node) else {
                     continue;
                 };
                 if let Some(local) = ctx.identity.local_of(global) {
                     if !ctx.identity.is_owned_local(local)
-                        && store.ingest_remote(NodeId(local), ClassId(label))
+                        && store.ingest_remote(NodeId(local), ClassId(l.label))
                     {
                         accepted += 1;
                     }
@@ -492,7 +481,7 @@ impl Engine {
 
     /// Drain the cross-shard label outbox (the [`crate::LabelExchanger`]
     /// calls this each push interval). Empty on single-node engines.
-    pub fn drain_outbox(&self) -> Vec<OutboundLabel> {
+    pub fn drain_outbox(&self) -> Vec<Label> {
         self.shard.as_ref().map(|ctx| ctx.drain()).unwrap_or_default()
     }
 
@@ -618,8 +607,8 @@ impl Engine {
                     if rec.failure.is_none() && !rec.parse_failed && !rec.budget_starved {
                         let targets = ctx.identity.neighbor_shards(graph, &ctx.map, rec.node.0);
                         if !targets.is_empty() {
-                            ctx.queue(OutboundLabel {
-                                node: ctx.identity.global_of(rec.node.0),
+                            ctx.queue(Label {
+                                node: u64::from(ctx.identity.global_of(rec.node.0)),
                                 label: rec.predicted.0,
                                 shards: targets,
                             });

@@ -19,10 +19,11 @@
 //!   drain that shuts the HTTP server down (finishing in-flight work),
 //!   then seals the journal and closes the run span. Admitted batches
 //!   run on the connection handler's thread through the engine's
-//!   [`mqo_core::Scheduler`] FIFO path; classify bodies decode through
-//!   [`mqo_shard::ClassifyRequest`], the codec the router shares.
+//!   [`mqo_core::Scheduler`] FIFO path; classify and label bodies go
+//!   through [`mqo_shard::wire`], the codec the router shares.
 //! * [`ServeConfig`] / [`ServerOptions`] — how the engine is built and
-//!   how the server schedules.
+//!   how the server schedules; [`make_predictor`] and [`split_for`]
+//!   build the predictor and labeled split, for the CLI's batch runs too.
 //! * [`signal`] — SIGTERM/SIGINT → drain-requested flag (the only FFI in
 //!   the workspace).
 //!
@@ -44,8 +45,8 @@ mod slots;
 mod tenant;
 
 pub use config::{ServeConfig, ServerOptions};
-pub use engine::{Engine, ProcessedBatch, Rejection};
+pub use engine::{make_predictor, split_for, Engine, ProcessedBatch, Rejection};
 pub use server::{DrainReport, Server};
-pub use shard::{LabelExchanger, OutboundLabel, ShardContext};
+pub use shard::{LabelExchanger, ShardContext};
 pub use shed::{Admit, BrownoutTransition, OverloadConfig, OverloadControl};
 pub use tenant::{TenantAccount, TenantExhausted, TenantTable};

@@ -9,7 +9,13 @@
 //! GET  /metrics          Prometheus exposition (shared registry)
 //! GET  /progress         compact JSON progress snapshot
 //! POST /v1/drain         request a graceful drain (202)
+//! POST /v1/labels        shard workers: ingest remote pseudo-labels
 //! ```
+//!
+//! Classify and label bodies go through [`mqo_shard::wire`], the codec
+//! the router shares: a classify `200` is a
+//! [`mqo_shard::ClassifyResponse`] whose records are journal lines, and
+//! `/v1/labels` takes a [`mqo_shard::LabelBatch`].
 //!
 //! ## Request tracing
 //!
@@ -34,6 +40,12 @@
 //! the request never crosses a queue or a reply channel — the handler
 //! calls straight into the engine's [`mqo_core::Scheduler`] FIFO path
 //! and writes the response itself.
+//!
+//! Every classify exit, refusal or answer, is decided first as one
+//! outcome (status, body, optional `Retry-After`, flight summary) and
+//! then written in one place with the `x-mqo-trace-id` header; only
+//! after the response is out does the epilogue stamp the request
+//! metrics, the tenant's SLO windows and the flight recorder.
 //!
 //! ## Deadlines and brown-out
 //!
@@ -67,13 +79,14 @@ use crate::config::ServerOptions;
 use crate::engine::{Engine, Rejection};
 use crate::shed::{Admit, BrownoutTransition, OverloadControl};
 use crate::slots::{AcquireError, SlotGate};
+use mqo_core::journal::record_to_json;
 use mqo_graph::NodeId;
 use mqo_obs::httpd::{http_errors_total, HttpConnection, HttpServer, Request};
 use mqo_obs::{
-    respond_metrics, spans_from_events, Clock, Event, EventSink, FlightEntry, FlightSpan,
-    Recorder, SpanId, Tee, MONOTONIC_CLOCK,
+    respond_metrics, spans_from_events, Clock, Event, EventSink, FlightEntry, Recorder, SpanId,
+    Tee, MONOTONIC_CLOCK,
 };
-use mqo_shard::wire::{json_body, ClassifyRequest};
+use mqo_shard::wire::{ClassifyRequest, ClassifyResponse, LabelBatch, NodeRecord};
 use serde_json::{json, Value};
 use std::io;
 use std::net::SocketAddr;
@@ -220,28 +233,6 @@ fn json_response(conn: &mut HttpConnection, status: &str, body: &Value) -> io::R
     conn.respond(status, "application/json", &text)
 }
 
-/// JSON response stamped with the request's trace id, both as the
-/// `x-mqo-trace-id` header and as a `"trace"` field in the body.
-fn traced_json(
-    conn: &mut HttpConnection,
-    status: &str,
-    trace: &str,
-    body: &Value,
-) -> io::Result<()> {
-    let mut body = body.clone();
-    if let Value::Object(o) = &mut body {
-        o.insert("trace".into(), Value::String(trace.to_string()));
-    }
-    let mut text = serde_json::to_string(&body).expect("response serialization");
-    text.push('\n');
-    conn.respond_with_headers(
-        status,
-        "application/json",
-        &[("x-mqo-trace-id", trace.to_string())],
-        &text,
-    )
-}
-
 /// Bounded route label for the request metrics: known paths keep their
 /// own series, everything else folds into `other`.
 fn route_label(path: &str) -> &'static str {
@@ -291,35 +282,77 @@ fn trace_for(req: &Request, engine: &Engine) -> String {
     engine.mint_trace()
 }
 
+/// How a classify request ends: the response [`handle_classify`] writes
+/// and what [`finish_classify`] records about it afterwards.
+struct Outcome {
+    /// HTTP status code.
+    status: u16,
+    /// JSON response body, the request's trace id included.
+    body: String,
+    /// `Retry-After` seconds; set on sheds.
+    retry_after: Option<u64>,
+    /// Tenant label for metrics, SLO windows and flight (`-` before the
+    /// body parses).
+    tenant: String,
+    /// One-line flight-recorder summaries of request and response.
+    request_summary: String,
+    summary: String,
+    /// The events a request that ran emitted; the epilogue rebuilds
+    /// its span tree for the flight recorder after the response is out.
+    collector: Option<Recorder>,
+}
+
+impl Outcome {
+    /// A refusal: no events, no `Retry-After`.
+    fn refused(
+        status: u16,
+        body: &Value,
+        tenant: &str,
+        request_summary: String,
+        summary: String,
+    ) -> Outcome {
+        Outcome {
+            status,
+            body: serde_json::to_string(body).expect("response serialization"),
+            retry_after: None,
+            tenant: tenant.to_string(),
+            request_summary,
+            summary,
+            collector: None,
+        }
+    }
+}
+
+/// The status line of each classify status.
+fn status_line(status: u16) -> &'static str {
+    match status {
+        200 => "200 OK",
+        400 => "400 Bad Request",
+        429 => "429 Too Many Requests",
+        503 => "503 Service Unavailable",
+        _ => "504 Gateway Timeout",
+    }
+}
+
 /// Classify epilogue, run after the response is flushed: stamp the
 /// exchange into the labeled request metrics, the tenant's SLO windows,
-/// and the flight recorder. Returns `status` for the connection loop.
-#[allow(clippy::too_many_arguments)]
-fn finish_classify(
-    engine: &Engine,
-    trace: String,
-    tenant: &str,
-    status: u16,
-    started_micros: u64,
-    spans: Vec<FlightSpan>,
-    request_summary: String,
-    response_summary: String,
-) -> u16 {
+/// and the flight recorder. Returns the status for the connection loop.
+fn finish_classify(engine: &Engine, trace: String, started_micros: u64, out: Outcome) -> u16 {
     let latency = MONOTONIC_CLOCK.now_micros().saturating_sub(started_micros);
-    engine.observe_http("/v1/classify", tenant, status, latency);
-    engine.slo().observe(tenant, status, latency);
+    engine.observe_http("/v1/classify", &out.tenant, out.status, latency);
+    engine.slo().observe(&out.tenant, out.status, latency);
     engine.flight().offer(FlightEntry {
         trace,
-        tenant: tenant.to_string(),
+        tenant: out.tenant,
         route: "/v1/classify".to_string(),
-        status,
+        status: out.status,
         latency_micros: latency,
         started_micros,
-        request_summary,
-        response_summary,
-        spans,
+        request_summary: out.request_summary,
+        response_summary: out.summary,
+        spans: out.collector.map_or_else(Vec::new, |c| spans_from_events(&c.events())),
     });
-    status
+    out.status
 }
 
 /// Decode the classify request body ([`ClassifyRequest`]) and resolve
@@ -345,92 +378,70 @@ fn deadline_for(req: &Request, now_micros: u64) -> Result<Option<u64>, String> {
     Ok(Some(now_micros.saturating_add(ms.saturating_mul(1_000))))
 }
 
-/// Refuse a classify request with `429` and a computed `Retry-After`.
-/// Used for both controller sheds and slot-gate saturation; the caller
-/// has already done the bookkeeping (counters, events, seat release).
-#[allow(clippy::too_many_arguments)]
-fn respond_shed(
+/// Refuse a classify request with `429` and a computed `Retry-After`,
+/// announcing the shed as an event. Used for both controller sheds and
+/// slot-gate saturation; the caller has already done the rest of the
+/// bookkeeping (counters, seat release).
+fn shed(
     engine: &Engine,
-    conn: &mut HttpConnection,
-    trace: String,
+    trace: &str,
     tenant: &str,
-    started: u64,
     request_summary: String,
     retry_after_secs: u64,
     reason: &str,
-) -> io::Result<u16> {
-    let mut body = serde_json::to_string(&json!({
+) -> Outcome {
+    engine.fanout().emit(&Event::RequestShed {
+        tenant: tenant.to_string(),
+        reason: reason.to_string(),
+        retry_after_secs,
+    });
+    let body = json!({
         "error": "saturated",
         "reason": reason,
         "tenant": tenant,
         "retry_after_secs": retry_after_secs,
         "trace": trace,
-    }))
-    .expect("response serialization");
-    body.push('\n');
-    conn.respond_with_headers(
-        "429 Too Many Requests",
-        "application/json",
-        &[("Retry-After", retry_after_secs.to_string()), ("x-mqo-trace-id", trace.clone())],
-        &body,
-    )?;
-    Ok(finish_classify(
-        engine,
-        trace,
-        tenant,
-        429,
-        started,
-        Vec::new(),
-        request_summary,
-        format!("refused: {reason}, retry after {retry_after_secs}s"),
-    ))
+    });
+    let summary = format!("refused: {reason}, retry after {retry_after_secs}s");
+    Outcome {
+        retry_after: Some(retry_after_secs),
+        ..Outcome::refused(429, &body, tenant, request_summary, summary)
+    }
 }
 
 /// Answer `504` for a request whose deadline expired at `stage`
 /// (`queue`, `admitted`, or `executing`), announcing the expiry as an
 /// event and a counter. Nothing is billed on this path: the request
 /// either never reached the engine or every query in it failed cheaply.
-#[allow(clippy::too_many_arguments)]
-fn respond_deadline_expired(
+fn deadline_expired(
     engine: &Engine,
-    conn: &mut HttpConnection,
-    trace: String,
+    trace: &str,
     tenant: &str,
-    started: u64,
     request_summary: String,
     stage: &str,
     waited_micros: u64,
-    spans: Vec<FlightSpan>,
-) -> io::Result<u16> {
+    collector: Option<Recorder>,
+) -> Outcome {
     engine.count_deadline_expired();
     engine.fanout().emit(&Event::DeadlineExpired {
-        trace: trace.clone(),
+        trace: trace.to_string(),
         stage: stage.to_string(),
         waited_micros,
     });
-    traced_json(
-        conn,
-        "504 Gateway Timeout",
-        &trace,
-        &json!({
-            "error": "deadline exceeded",
-            "stage": stage,
-            "tenant": tenant,
-            "waited_micros": waited_micros,
-        }),
-    )?;
-    Ok(finish_classify(
-        engine,
-        trace,
-        tenant,
-        504,
-        started,
-        spans,
-        request_summary,
-        format!("deadline exceeded at {stage} after {waited_micros}us"),
-    ))
+    let body = json!({
+        "error": "deadline exceeded",
+        "stage": stage,
+        "tenant": tenant,
+        "waited_micros": waited_micros,
+        "trace": trace,
+    });
+    let summary = format!("deadline exceeded at {stage} after {waited_micros}us");
+    Outcome { collector, ..Outcome::refused(504, &body, tenant, request_summary, summary) }
 }
 
+/// Answer one classify request: decide its [`Outcome`], write it with
+/// the trace header (and `Retry-After` when set), then run the
+/// [`finish_classify`] epilogue.
 fn handle_classify(
     engine: &Engine,
     gate: &SlotGate,
@@ -440,81 +451,59 @@ fn handle_classify(
 ) -> io::Result<u16> {
     let started = MONOTONIC_CLOCK.now_micros();
     let trace = trace_for(req, engine);
+    let mut out = classify(engine, gate, overload, req, &trace, started);
+    let retry_after = out.retry_after.map(|secs| ("Retry-After", secs.to_string()));
+    let headers: Vec<_> =
+        retry_after.into_iter().chain([("x-mqo-trace-id", trace.clone())]).collect();
+    out.body.push('\n');
+    let status = status_line(out.status);
+    conn.respond_with_headers(status, "application/json", &headers, &out.body)?;
+    Ok(finish_classify(engine, trace, started, out))
+}
+
+/// Decide how a classify request ends, running it if every admission
+/// gate lets it through. Writes nothing to the connection.
+fn classify(
+    engine: &Engine,
+    gate: &SlotGate,
+    overload: &OverloadControl,
+    req: &Request,
+    trace: &str,
+    started: u64,
+) -> Outcome {
     let deadline = match deadline_for(req, started) {
         Ok(d) => d,
         Err(e) => {
-            traced_json(conn, "400 Bad Request", &trace, &json!({"error": e}))?;
-            return Ok(finish_classify(
-                engine,
-                trace,
-                "-",
-                400,
-                started,
-                Vec::new(),
-                "bad x-mqo-deadline-ms".into(),
-                e,
-            ));
+            let body = json!({"error": e, "trace": trace});
+            return Outcome::refused(400, &body, "-", "bad x-mqo-deadline-ms".into(), e);
         }
     };
     let (nodes, tenant) = match parse_classify(req, engine) {
         Ok(parsed) => parsed,
         Err(e) => {
-            traced_json(conn, "400 Bad Request", &trace, &json!({"error": e}))?;
-            return Ok(finish_classify(
-                engine,
-                trace,
-                "-",
-                400,
-                started,
-                Vec::new(),
-                "unparseable classify body".into(),
-                e,
-            ));
+            let body = json!({"error": e, "trace": trace});
+            return Outcome::refused(400, &body, "-", "unparseable classify body".into(), e);
         }
     };
     let request_summary = format!("classify {} node(s), tenant {}", nodes.len(), tenant);
     match engine.admit(&tenant) {
         Ok(()) => {}
         Err(Rejection::Draining) => {
-            traced_json(
-                conn,
-                "503 Service Unavailable",
-                &trace,
-                &json!({"error": "draining", "tenant": tenant}),
-            )?;
-            return Ok(finish_classify(
-                engine,
-                trace,
-                &tenant,
-                503,
-                started,
-                Vec::new(),
-                request_summary,
-                "refused: draining".into(),
-            ));
+            let body = json!({"error": "draining", "tenant": tenant, "trace": trace});
+            let summary = "refused: draining".into();
+            return Outcome::refused(503, &body, &tenant, request_summary, summary);
         }
         Err(Rejection::TenantExhausted(t)) => {
-            traced_json(
-                conn,
-                "429 Too Many Requests",
-                &trace,
-                &json!({
-                    "error": "tenant budget exhausted",
-                    "tenant": t.tenant,
-                    "budget": t.budget,
-                    "spent_tokens": t.spent_tokens,
-                }),
-            )?;
-            return Ok(finish_classify(
-                engine,
-                trace,
-                &tenant,
-                429,
-                started,
-                Vec::new(),
-                request_summary,
-                format!("refused: {} of {} budget tokens spent", t.spent_tokens, t.budget),
-            ));
+            let body = json!({
+                "error": "tenant budget exhausted",
+                "tenant": t.tenant,
+                "budget": t.budget,
+                "spent_tokens": t.spent_tokens,
+                "trace": trace,
+            });
+            let summary =
+                format!("refused: {} of {} budget tokens spent", t.spent_tokens, t.budget);
+            return Outcome::refused(429, &body, &tenant, request_summary, summary);
         }
         Err(Rejection::Saturated) => unreachable!("admit never reports slot saturation"),
     }
@@ -524,22 +513,22 @@ fn handle_classify(
     if let Admit::Shed(reason) = overload.admit(&tenant, gate.waiting(), started) {
         let retry_after = overload.retry_after_secs(gate.waiting());
         engine.count_shed();
-        engine.fanout().emit(&Event::RequestShed {
-            tenant: tenant.clone(),
-            reason: reason.to_string(),
-            retry_after_secs: retry_after,
-        });
-        return respond_shed(
+        return shed(engine, trace, &tenant, request_summary, retry_after, reason);
+    }
+    // Each `504` below differs only in the stage the deadline expired at,
+    // when that was noticed, and the events the request left behind.
+    let expired = |stage: &str, now: u64, collector: Option<Recorder>| {
+        let waited = now.saturating_sub(started);
+        deadline_expired(
             engine,
-            conn,
             trace,
             &tenant,
-            started,
-            request_summary,
-            retry_after,
-            reason,
-        );
-    }
+            request_summary.clone(),
+            stage,
+            waited,
+            collector,
+        )
+    };
     // A fair-share seat is held from here on: every exit path below must
     // release it exactly once.
     let wait_budget =
@@ -551,37 +540,13 @@ fn handle_classify(
             overload.note_shed(started);
             engine.count_queue_rejection();
             let retry_after = overload.retry_after_secs(gate.waiting());
-            engine.fanout().emit(&Event::RequestShed {
-                tenant: tenant.clone(),
-                reason: "saturated".to_string(),
-                retry_after_secs: retry_after,
-            });
-            return respond_shed(
-                engine,
-                conn,
-                trace,
-                &tenant,
-                started,
-                request_summary,
-                retry_after,
-                "saturated",
-            );
+            return shed(engine, trace, &tenant, request_summary, retry_after, "saturated");
         }
         Err(AcquireError::DeadlineExpired) => {
             overload.release(&tenant);
             let now = MONOTONIC_CLOCK.now_micros();
             overload.note_shed(now);
-            return respond_deadline_expired(
-                engine,
-                conn,
-                trace,
-                &tenant,
-                started,
-                request_summary,
-                "queue",
-                now.saturating_sub(started),
-                Vec::new(),
-            );
+            return expired("queue", now, None);
         }
     };
     let admitted_at = MONOTONIC_CLOCK.now_micros();
@@ -591,17 +556,7 @@ fn handle_classify(
     if deadline.is_some_and(|d| admitted_at >= d) {
         drop(permit);
         overload.release(&tenant);
-        return respond_deadline_expired(
-            engine,
-            conn,
-            trace,
-            &tenant,
-            started,
-            request_summary,
-            "admitted",
-            admitted_at.saturating_sub(started),
-            Vec::new(),
-        );
+        return expired("admitted", admitted_at, None);
     }
     // Brown-out: past the pressure threshold, admitted work runs with
     // pruned neighbor-free prompts. Transitions are announced once.
@@ -633,7 +588,7 @@ fn handle_classify(
             || format!("{request_summary} [{trace}]"),
             engine.run_scope(),
         );
-        engine.process_shaped(&nodes, &tenant, &trace, Some(&collector), degraded)
+        engine.process_shaped(&nodes, &tenant, trace, Some(&collector), degraded)
     };
     // Answer in the id space the client spoke: on shard workers the
     // records come back in local ids and the router joins on "node".
@@ -653,40 +608,43 @@ fn handle_classify(
         && !batch.records.is_empty()
         && batch.records.iter().all(|r| r.failed())
     {
-        return respond_deadline_expired(
-            engine,
-            conn,
-            trace,
-            &tenant,
-            started,
-            request_summary,
-            "executing",
-            done.saturating_sub(started),
-            spans_from_events(&collector.events()),
-        );
+        return expired("executing", done, Some(collector));
     }
-    traced_json(conn, "200 OK", &trace, &batch.to_json(&tenant))?;
-    let response_summary = format!(
+    let summary = format!(
         "{} record(s), {} replayed, {} tokens billed{}",
         batch.records.len(),
         batch.replayed,
         batch.billed_tokens,
         if batch.degraded { ", degraded" } else { "" }
     );
-    Ok(finish_classify(
-        engine,
-        trace,
-        &tenant,
-        200,
-        started,
-        spans_from_events(&collector.events()),
+    let records = batch
+        .records
+        .iter()
+        .map(|r| NodeRecord { node: u64::from(r.node.0), line: record_to_json(r) })
+        .collect();
+    let body = ClassifyResponse {
+        tenant: tenant.clone(),
+        records,
+        replayed: batch.replayed,
+        billed_tokens: batch.billed_tokens,
+        degraded: batch.degraded,
+        trace: trace.to_string(),
+        shards: Vec::new(),
+    }
+    .encode();
+    Outcome {
+        status: 200,
+        body,
+        retry_after: None,
+        tenant,
         request_summary,
-        response_summary,
-    ))
+        summary,
+        collector: Some(collector),
+    }
 }
 
 /// Ingest remote pseudo-labels forwarded by the router
-/// (`POST /v1/labels`, body `{"labels":[{"node":G,"label":L},..]}`).
+/// (`POST /v1/labels`, a [`LabelBatch`]).
 /// Only shard workers expose the route; the exchange is control-plane
 /// traffic, so it bypasses the classify admission gates (it bills
 /// nothing and must keep flowing while classify sheds).
@@ -695,46 +653,15 @@ fn handle_labels(engine: &Engine, req: &Request, conn: &mut HttpConnection) -> i
         return json_response(conn, "404 Not Found", &json!({"error": "not a shard worker"}))
             .map(|()| 404);
     }
-    let body = match json_body(req.body_utf8()) {
-        Ok(v) => v,
+    let batch = match LabelBatch::decode(req.body_utf8()) {
+        Ok(batch) => batch,
         Err(e) => {
             return json_response(conn, "400 Bad Request", &json!({"error": e})).map(|()| 400)
         }
     };
-    let Some(list) = body.get("labels").and_then(|l| l.as_array()) else {
-        return json_response(
-            conn,
-            "400 Bad Request",
-            &json!({"error": "body must have a 'labels' array"}),
-        )
-        .map(|()| 400);
-    };
-    let mut labels = Vec::with_capacity(list.len());
-    for entry in list {
-        let (Some(node), Some(label)) = (
-            entry.get("node").and_then(|n| n.as_u64()),
-            entry.get("label").and_then(|l| l.as_u64()),
-        ) else {
-            return json_response(
-                conn,
-                "400 Bad Request",
-                &json!({"error": "each label needs integer 'node' and 'label'"}),
-            )
-            .map(|()| 400);
-        };
-        let Ok(label) = u16::try_from(label) else {
-            return json_response(
-                conn,
-                "400 Bad Request",
-                &json!({"error": format!("label {label} out of class range")}),
-            )
-            .map(|()| 400);
-        };
-        labels.push((node, label));
-    }
-    let ingested = engine.ingest_remote_labels(&labels);
-    json_response(conn, "200 OK", &json!({"ingested": ingested, "received": labels.len()}))
-        .map(|()| 200)
+    let ingested = engine.ingest_remote_labels(&batch.labels);
+    let body = json!({"ingested": ingested, "received": batch.labels.len()});
+    json_response(conn, "200 OK", &body).map(|()| 200)
 }
 
 /// Answer one parsed request: route it, and stamp everything but

@@ -26,26 +26,13 @@
 use crate::engine::Engine;
 use mqo_obs::httpd::HttpClient;
 use mqo_obs::{Event, EventSink};
-use mqo_shard::{ShardIdentity, ShardMap};
+use mqo_shard::{Label, LabelBatch, ShardIdentity, ShardMap};
 use parking_lot::Mutex;
-use serde_json::{json, Value};
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 use std::time::Duration;
-
-/// A boundary-node pseudo-label queued for cross-shard exchange.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct OutboundLabel {
-    /// Global node id.
-    pub node: u32,
-    /// Predicted class.
-    pub label: u16,
-    /// Shards owning at least one neighbor of the node (never the
-    /// minting shard itself).
-    pub shards: Vec<u32>,
-}
 
 /// What makes an engine a shard worker: its identity (local↔global id
 /// maps), the cluster's partition map, and the label outbox.
@@ -54,7 +41,7 @@ pub struct ShardContext {
     pub identity: ShardIdentity,
     /// The cluster-wide partition (who owns which node).
     pub map: ShardMap,
-    outbox: Mutex<Vec<OutboundLabel>>,
+    outbox: Mutex<Vec<Label>>,
 }
 
 impl ShardContext {
@@ -64,12 +51,12 @@ impl ShardContext {
     }
 
     /// Queue one boundary pseudo-label for the next exchange push.
-    pub fn queue(&self, label: OutboundLabel) {
+    pub fn queue(&self, label: Label) {
         self.outbox.lock().push(label);
     }
 
     /// Take everything queued since the last drain.
-    pub fn drain(&self) -> Vec<OutboundLabel> {
+    pub fn drain(&self) -> Vec<Label> {
         std::mem::take(&mut *self.outbox.lock())
     }
 
@@ -96,15 +83,12 @@ pub fn peak_rss_mb() -> u64 {
     0
 }
 
-/// Background thread pushing the worker's label outbox to the router.
-///
-/// Every `interval` it drains the [`ShardContext`] outbox and POSTs the
-/// batch to the router's `/v1/labels` as
-/// `{"from_shard": I, "labels": [{"node", "label", "shards"}, ..]}`.
-/// One final drain-and-push runs at [`LabelExchanger::stop`] so short
-///-lived workers still deliver. Failed pushes drop their batch (the
-/// exchange is advisory) and count in
-/// `mqo_shard_exchange_failures_total`.
+/// Background thread pushing the worker's label outbox to the router:
+/// every `interval` it drains the [`ShardContext`] outbox and POSTs it
+/// to the router's `/v1/labels` as a [`LabelBatch`] naming this shard,
+/// and once more at [`LabelExchanger::stop`] so short-lived workers
+/// still deliver. Failed pushes drop their batch (the exchange is
+/// advisory) and count in `mqo_shard_exchange_failures_total`.
 pub struct LabelExchanger {
     stop: Arc<AtomicBool>,
     handle: Option<JoinHandle<()>>,
@@ -140,13 +124,14 @@ impl LabelExchanger {
                     let stopping = stop_flag.load(Ordering::Relaxed);
                     let batch = engine.drain_outbox();
                     if !batch.is_empty() {
-                        let body = push_body(shard_id, &batch);
+                        let labels = batch.len() as u64;
+                        let body =
+                            LabelBatch { from_shard: Some(shard_id), labels: batch }.encode();
                         if post_labels(&mut client, router, &body) {
                             pushes.inc();
-                            engine.fanout().emit(&Event::ShardLabelsPushed {
-                                shard: shard_id,
-                                labels: batch.len() as u64,
-                            });
+                            engine
+                                .fanout()
+                                .emit(&Event::ShardLabelsPushed { shard: shard_id, labels });
                         } else {
                             failures.inc();
                         }
@@ -180,37 +165,18 @@ impl Drop for LabelExchanger {
     }
 }
 
-/// The `/v1/labels` push body for one drained batch.
-fn push_body(shard_id: u32, batch: &[OutboundLabel]) -> String {
-    let labels: Vec<Value> = batch
-        .iter()
-        .map(|l| {
-            let shards: Vec<u64> = l.shards.iter().map(|&s| u64::from(s)).collect();
-            json!({"node": l.node, "label": l.label, "shards": shards})
-        })
-        .collect();
-    let v = json!({"from_shard": shard_id, "labels": labels});
-    serde_json::to_string(&v).expect("push body serialization")
-}
-
 /// POST `body` to the router's `/v1/labels` over a cached keep-alive
 /// connection, (re)connecting lazily. `true` on a 2xx.
 fn post_labels(client: &mut Option<HttpClient>, router: SocketAddr, body: &str) -> bool {
     if client.is_none() {
         *client = HttpClient::connect(router).ok();
     }
-    let Some(c) = client.as_mut() else {
-        return false;
-    };
-    match c.post("/v1/labels", body) {
-        Ok((status, _)) if status.contains("200") => true,
-        Ok(_) => false,
-        Err(_) => {
-            // Kill the cached connection so the next attempt redials.
-            *client = None;
-            false
-        }
+    let result = client.as_mut().map(|c| c.post("/v1/labels", body));
+    if matches!(result, Some(Err(_))) {
+        // Kill the cached connection so the next attempt redials.
+        *client = None;
     }
+    matches!(result, Some(Ok((status, _))) if status.contains("200"))
 }
 
 #[cfg(test)]
@@ -232,8 +198,8 @@ mod tests {
         );
         let ctx = ShardContext::new(ShardIdentity::new(0, 2, 2, vec![0, 1]), map);
         assert_eq!(ctx.outbox_depth(), 0);
-        ctx.queue(OutboundLabel { node: 1, label: 3, shards: vec![1] });
-        ctx.queue(OutboundLabel { node: 0, label: 2, shards: vec![1] });
+        ctx.queue(Label { node: 1, label: 3, shards: vec![1] });
+        ctx.queue(Label { node: 0, label: 2, shards: vec![1] });
         assert_eq!(ctx.outbox_depth(), 2);
         let drained = ctx.drain();
         assert_eq!(drained.len(), 2);
@@ -250,15 +216,5 @@ mod tests {
         if cfg!(target_os = "linux") {
             assert!(mb > 0, "VmHWM should be nonzero for a running test binary");
         }
-    }
-
-    #[test]
-    fn push_body_is_the_wire_format() {
-        let body = push_body(2, &[OutboundLabel { node: 40, label: 6, shards: vec![0, 1] }]);
-        let v = serde_json::from_str(&body).unwrap();
-        assert_eq!(v["from_shard"].as_u64(), Some(2));
-        assert_eq!(v["labels"][0]["node"].as_u64(), Some(40));
-        assert_eq!(v["labels"][0]["label"].as_u64(), Some(6));
-        assert_eq!(v["labels"][0]["shards"][1].as_u64(), Some(1));
     }
 }

@@ -26,9 +26,11 @@
 //!   the node's neighbors, and the receiving worker ingests them so the
 //!   γ₁/γ₂ readiness rule sees remote cues. It runs on the shared
 //!   `mqo_obs::httpd::HttpServer`, like every other endpoint.
-//! * [`ClassifyRequest`] — the one decoder and encoder of the
-//!   `POST /v1/classify` body ([`wire`]), shared by the router and the
-//!   workers so both refuse a malformed body with the same `400`.
+//! * [`wire`] — the one codec for every body that crosses a process:
+//!   [`ClassifyRequest`] and [`ClassifyResponse`] on `POST /v1/classify`,
+//!   [`LabelBatch`] on `POST /v1/labels`. The router and the workers
+//!   share it, so both refuse a malformed body with the same `400` and
+//!   a routed reply has exactly the shape of a worker's.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -43,4 +45,4 @@ pub use bundle::{extract_shard, ShardBundle, ShardIdentity};
 pub use partition::{partition, PartitionStrategy, ShardMap, ShardMapError, ShardStats};
 pub use ring::HashRing;
 pub use router::{Router, RouterConfig};
-pub use wire::ClassifyRequest;
+pub use wire::{ClassifyRequest, ClassifyResponse, Label, LabelBatch, NodeRecord};

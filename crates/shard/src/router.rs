@@ -5,10 +5,15 @@
 //!
 //! * **Routing.** `POST /v1/classify` bodies name nodes in *global* id
 //!   space; the router groups them by [`crate::ShardMap`] ownership,
-//!   forwards one sub-batch per owning shard, and reassembles the
-//!   per-node records in the caller's original order. A batch that lands
+//!   forwards one sub-batch per owning shard, and moves the per-node
+//!   records back into the caller's original order. A batch that lands
 //!   on one shard is forwarded whole — the common case under
-//!   locality-friendly ids costs one upstream exchange.
+//!   locality-friendly ids costs one upstream exchange. Every body goes
+//!   through [`crate::wire`]: the merged reply is a
+//!   [`crate::ClassifyResponse`] like each worker's, with `billed_tokens`
+//!   and `replayed` summed over the shards and the consulted `shards`
+//!   listed. A worker reply that drops a requested node is a `502`
+//!   naming the shard and the node, like a worker that fails mid-batch.
 //! * **Health.** A shard that fails `eject_after` consecutive exchanges
 //!   is ejected: classify traffic needing it gets an immediate `503`
 //!   instead of a hung socket, and a background probe re-admits it on
@@ -26,7 +31,7 @@
 //! smoke scripts (and operators) can see a degraded cluster at a glance.
 
 use crate::partition::ShardMap;
-use crate::wire::{json_body, ClassifyRequest};
+use crate::wire::{ClassifyRequest, ClassifyResponse, Label, LabelBatch};
 use mqo_obs::httpd::{
     http_errors_total, http_get, HttpClient, HttpConnection, HttpServer, Request,
 };
@@ -323,41 +328,33 @@ impl Inner {
     }
 
     fn stats(&self) -> String {
-        let mut per_shard = Vec::with_capacity(self.shards.len());
-        let mut queries = 0u64;
-        let mut requests = 0u64;
-        let mut pseudo = 0u64;
-        let mut peak_rss = 0u64;
-        for (s, _) in self.shards.iter().enumerate() {
-            let stats = match self.exchange(s as u32, |c| c.get("/v1/stats")) {
+        let per_shard: Vec<Value> = (0..self.shards.len() as u32)
+            .map(|s| match self.exchange(s, |c| c.get("/v1/stats")) {
                 Ok((status, body)) if status.contains("200") => {
                     serde_json::from_str(&body).unwrap_or(Value::Null)
                 }
                 _ => Value::Null,
-            };
-            if let Some(o) = stats.as_object() {
-                queries += o.get("queries").and_then(Value::as_u64).unwrap_or(0);
-                requests += o.get("requests").and_then(Value::as_u64).unwrap_or(0);
-                pseudo += o.get("pseudo_labels").and_then(Value::as_u64).unwrap_or(0);
-                peak_rss =
-                    peak_rss.max(o.get("peak_rss_mb").and_then(Value::as_u64).unwrap_or(0));
-            }
-            per_shard.push(stats);
-        }
+            })
+            .collect();
+        let each = |key: &'static str| {
+            per_shard.iter().map(move |s| s.get(key).and_then(Value::as_u64).unwrap_or(0))
+        };
         jstr(&json!({
             "role": "router",
             "num_shards": self.shards.len(),
             "nodes": self.map.num_nodes(),
-            "queries": queries,
-            "requests": requests,
-            "pseudo_labels": pseudo,
-            "peak_rss_mb": peak_rss,
+            "queries": each("queries").sum::<u64>(),
+            "requests": each("requests").sum::<u64>(),
+            "pseudo_labels": each("pseudo_labels").sum::<u64>(),
+            "peak_rss_mb": each("peak_rss_mb").max().unwrap_or(0),
             "shards": per_shard,
         }))
     }
 
     /// Route a classify batch: group global node ids by owner, forward
-    /// per-shard sub-batches, reassemble records in request order.
+    /// per-shard sub-batches, and move the records back into request
+    /// order. Counts add up across shards: `billed_tokens` and
+    /// `replayed` are sums, `degraded` is set if any shard degraded.
     fn classify(&self, req: &Request) -> Reply {
         let body = match ClassifyRequest::decode(req.body_utf8()) {
             Ok(body) => body,
@@ -371,14 +368,18 @@ impl Inner {
             ));
         }
 
-        // Group by owner, preserving first-appearance shard order.
+        // Group by owner, preserving first-appearance shard order; each
+        // node remembers its group so reassembly needs no lookup.
         let mut groups: Vec<(u32, Vec<u64>)> = Vec::new();
+        let mut group_of = Vec::with_capacity(nodes.len());
         for &n in nodes {
             let owner = self.map.owner(n as u32);
-            match groups.iter_mut().find(|(s, _)| *s == owner) {
-                Some((_, g)) => g.push(n),
-                None => groups.push((owner, vec![n])),
-            }
+            let g = groups.iter().position(|(s, _)| *s == owner).unwrap_or_else(|| {
+                groups.push((owner, Vec::new()));
+                groups.len() - 1
+            });
+            groups[g].1.push(n);
+            group_of.push(g);
         }
         if groups.len() > 1 {
             self.fanout_batches.inc();
@@ -395,12 +396,12 @@ impl Inner {
         }
 
         let trace = req.header("x-mqo-trace-id").map(str::to_owned);
-
-        let mut by_node: HashMap<u64, Value> = HashMap::with_capacity(nodes.len());
-        let mut billed = 0u64;
-        let mut degraded = false;
-        let mut replayed = false;
-        let mut tenant = Value::Null;
+        let mut merged = ClassifyResponse {
+            trace: trace.clone().unwrap_or_default(),
+            shards: groups.iter().map(|(s, _)| *s).collect(),
+            ..ClassifyResponse::default()
+        };
+        let mut replies = Vec::with_capacity(groups.len());
         for (shard, group) in &groups {
             let sub =
                 ClassifyRequest { nodes: group.clone(), tenant: body.tenant.clone() }.encode();
@@ -409,9 +410,9 @@ impl Inner {
                 Some(t) => c.post_with_header("/v1/classify", &sub, ("x-mqo-trace-id", t)),
                 None => c.post("/v1/classify", &sub),
             });
-            let parsed = match result {
+            let reply = match result {
                 Ok((status, body)) if status.contains("200") => {
-                    serde_json::from_str(&body).ok()
+                    ClassifyResponse::decode(&body).ok()
                 }
                 // Upstream answered but refused (bad request, shed,
                 // draining, …): relay its verdict rather than invent one.
@@ -423,111 +424,85 @@ impl Inner {
                 },
                 Err(_) => None,
             };
-            let Some(parsed) = parsed else {
-                return (
-                    "502 Bad Gateway".into(),
-                    jstr(
-                        &json!({"error": format!("shard {shard} failed mid-batch"), "shard": *shard}),
-                    ),
-                );
+            let Some(reply) = reply else {
+                return bad_gateway(*shard, format!("shard {shard} failed mid-batch"));
             };
-            billed += parsed.get("billed_tokens").and_then(Value::as_u64).unwrap_or(0);
-            degraded |= parsed.get("degraded").and_then(Value::as_bool).unwrap_or(false);
-            replayed |= parsed.get("replayed").and_then(Value::as_bool).unwrap_or(false);
-            if matches!(tenant, Value::Null) {
-                tenant = parsed.get("tenant").cloned().unwrap_or(Value::Null);
+            merged.billed_tokens += reply.billed_tokens;
+            merged.replayed += reply.replayed;
+            merged.degraded |= reply.degraded;
+            if merged.tenant.is_empty() {
+                merged.tenant = reply.tenant;
             }
-            if let Some(records) = parsed.get("records").and_then(Value::as_array) {
-                for r in records {
-                    if let Some(n) = r.get("node").and_then(Value::as_u64) {
-                        by_node.insert(n, r.clone());
-                    }
+            replies.push(reply.records.into_iter());
+        }
+
+        // Workers answer one record per node in sub-batch order, so each
+        // node takes the next record of its group's reply.
+        merged.records.reserve(nodes.len());
+        for (&n, &g) in nodes.iter().zip(&group_of) {
+            match replies[g].next() {
+                Some(record) if record.node == n => merged.records.push(record),
+                _ => {
+                    let shard = groups[g].0;
+                    return bad_gateway(
+                        shard,
+                        format!("shard {shard} answered without node {n}"),
+                    );
                 }
             }
         }
-
-        let records: Vec<Value> =
-            nodes.iter().filter_map(|n| by_node.get(n).cloned()).collect();
-        let mut out = json!({
-            "tenant": tenant,
-            "records": records,
-            "replayed": replayed,
-            "billed_tokens": billed,
-            "degraded": degraded,
-            "shards": groups.iter().map(|(s, _)| *s).collect::<Vec<_>>(),
-        });
-        if let (Some(t), Value::Object(o)) = (&trace, &mut out) {
-            o.insert("trace".into(), Value::String(t.clone()));
-        }
-        ("200 OK".into(), jstr(&out))
+        ("200 OK".into(), merged.encode())
     }
 
     /// Relay a worker's boundary pseudo-labels to the shards owning the
     /// labeled nodes' neighbors.
     fn relay_labels(&self, req: &Request) -> Reply {
-        let body = match json_body(req.body_utf8()) {
-            Ok(v) => v,
+        let push = match LabelBatch::decode(req.body_utf8()) {
+            Ok(push) => push,
             Err(e) => return bad_request(e),
         };
         self.label_pushes.inc();
-        let from = body.get("from_shard").and_then(Value::as_u64).unwrap_or(u64::MAX);
-        let Some(labels) = body.get("labels").and_then(Value::as_array) else {
-            return bad_request("body must have a 'labels' array".into());
-        };
         // Regroup the per-node target lists into one payload per shard.
-        let mut per_target: HashMap<u32, Vec<Value>> = HashMap::new();
-        for entry in labels {
-            let (Some(node), Some(label)) = (
-                entry.get("node").and_then(Value::as_u64),
-                entry.get("label").and_then(Value::as_u64),
-            ) else {
-                return bad_request("label entries need integer 'node' and 'label'".into());
-            };
-            let Some(targets) = entry.get("shards").and_then(Value::as_array) else {
-                return bad_request("label entries need a 'shards' array".into());
-            };
-            for t in targets {
-                let Some(t) = t.as_u64().filter(|&t| t < self.shards.len() as u64) else {
-                    return bad_request("label target shard out of range".into());
-                };
-                if t != from {
-                    per_target
-                        .entry(t as u32)
-                        .or_default()
-                        .push(json!({"node": node, "label": label}));
+        let mut per_target: HashMap<u32, Vec<Label>> = HashMap::new();
+        for l in push.labels {
+            for &t in &l.shards {
+                if t as usize >= self.shards.len() {
+                    return bad_request(format!("label target shard {t} out of range"));
+                }
+                if Some(t) != push.from_shard {
+                    per_target.entry(t).or_default().push(Label {
+                        node: l.node,
+                        label: l.label,
+                        shards: Vec::new(),
+                    });
                 }
             }
         }
 
-        let mut forwarded = 0usize;
-        let mut dropped = 0usize;
-        for (target, batch) in &per_target {
-            let count = batch.len();
-            let label = target.to_string();
-            if self.shards[*target as usize].ejected.load(Ordering::SeqCst) {
-                self.labels_dropped.with(&[&label]).add(count as u64);
-                dropped += count;
-                continue;
-            }
-            let payload = jstr(&json!({"labels": batch.clone()}));
-            match self.exchange(*target, |c| c.post("/v1/labels", &payload)) {
-                Ok((status, _)) if status.contains("200") => {
-                    self.labels_forwarded.with(&[&label]).add(count as u64);
-                    forwarded += count;
-                }
-                _ => {
-                    // Advisory traffic: losing it costs γ readiness some
-                    // remote cues, not correctness. Count and move on.
-                    self.labels_dropped.with(&[&label]).add(count as u64);
-                    dropped += count;
-                }
-            }
+        let (mut forwarded, mut dropped) = (0usize, 0usize);
+        let targets = per_target.len();
+        for (target, labels) in per_target {
+            let count = labels.len();
+            let payload = LabelBatch { from_shard: None, labels }.encode();
+            // Advisory traffic: a label toward an ejected or failing shard
+            // costs γ readiness some remote cues, not correctness. Count it
+            // as dropped and move on.
+            let delivered = !self.shards[target as usize].ejected.load(Ordering::SeqCst)
+                && matches!(
+                    self.exchange(target, |c| c.post("/v1/labels", &payload)),
+                    Ok((status, _)) if status.contains("200")
+                );
+            let (counter, tally) = if delivered {
+                (&self.labels_forwarded, &mut forwarded)
+            } else {
+                (&self.labels_dropped, &mut dropped)
+            };
+            counter.with(&[&target.to_string()]).add(count as u64);
+            *tally += count;
         }
         (
             "200 OK".into(),
-            jstr(
-                &json!({"forwarded": forwarded, "dropped": dropped, "targets": per_target.len()}),
-            ),
+            jstr(&json!({"forwarded": forwarded, "dropped": dropped, "targets": targets})),
         )
     }
 
@@ -569,22 +544,25 @@ impl Inner {
                 result = f(slot.as_mut().expect("reconnected above"));
             }
         }
-        match &result {
-            Ok(_) => {
-                st.failures.store(0, Ordering::SeqCst);
-                if st.ejected.swap(false, Ordering::SeqCst) {
-                    let label = shard.to_string();
-                    self.readmissions.with(&[&label]).inc();
-                    self.ejected_gauge.with(&[&label]).set(0);
-                }
-            }
-            Err(_) => {
-                *slot = None;
-                drop(slot);
-                self.note_failure(shard);
-            }
+        if result.is_ok() {
+            self.note_healthy(shard);
+        } else {
+            *slot = None;
+            drop(slot);
+            self.note_failure(shard);
         }
         result
+    }
+
+    /// Clear `shard`'s failure streak and re-admit it if it was ejected.
+    fn note_healthy(&self, shard: u32) {
+        let st = &self.shards[shard as usize];
+        st.failures.store(0, Ordering::SeqCst);
+        if st.ejected.swap(false, Ordering::SeqCst) {
+            let label = shard.to_string();
+            self.readmissions.with(&[&label]).inc();
+            self.ejected_gauge.with(&[&label]).set(0);
+        }
     }
 
     fn note_failure(&self, shard: u32) {
@@ -601,17 +579,10 @@ impl Inner {
     /// Retry every ejected shard's healthz once; re-admit on success.
     fn probe_ejected(&self) {
         for (s, st) in self.shards.iter().enumerate() {
-            if !st.ejected.load(Ordering::SeqCst) {
-                continue;
-            }
-            if matches!(http_get(st.addr, "/v1/healthz"), Ok((status, _)) if status.contains("200"))
+            if st.ejected.load(Ordering::SeqCst)
+                && matches!(http_get(st.addr, "/v1/healthz"), Ok((status, _)) if status.contains("200"))
             {
-                st.failures.store(0, Ordering::SeqCst);
-                if st.ejected.swap(false, Ordering::SeqCst) {
-                    let label = s.to_string();
-                    self.readmissions.with(&[&label]).inc();
-                    self.ejected_gauge.with(&[&label]).set(0);
-                }
+                self.note_healthy(s as u32);
             }
         }
     }
@@ -626,6 +597,10 @@ fn bad_request(msg: String) -> Reply {
     ("400 Bad Request".into(), jstr(&json!({"error": msg})))
 }
 
+fn bad_gateway(shard: u32, msg: String) -> Reply {
+    ("502 Bad Gateway".into(), jstr(&json!({"error": msg, "shard": shard})))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -636,19 +611,32 @@ mod tests {
     use std::net::TcpStream;
 
     /// A scriptable fake shard worker on the shared server: answers
-    /// classify with one record per node, echoing the node id, until
-    /// killed.
+    /// classify with one record per node, echoing the node id, in the
+    /// shape real workers send, until killed.
     struct FakeShard {
         addr: SocketAddr,
         server: HttpServer,
     }
 
+    /// What a [`FakeShard`] puts in its classify replies.
+    #[derive(Clone, Copy, Default)]
+    struct FakeReply {
+        /// The `"replayed"` count of every reply.
+        replayed: u64,
+        /// A node whose record the fake leaves out.
+        omit: Option<u64>,
+    }
+
     impl FakeShard {
         fn start(shard_id: u32) -> FakeShard {
-            FakeShard::start_at("127.0.0.1:0", shard_id).unwrap()
+            FakeShard::start_with(shard_id, FakeReply::default())
         }
 
-        fn start_at(addr: &str, shard_id: u32) -> io::Result<FakeShard> {
+        fn start_with(shard_id: u32, reply: FakeReply) -> FakeShard {
+            FakeShard::start_at("127.0.0.1:0", shard_id, reply).unwrap()
+        }
+
+        fn start_at(addr: &str, shard_id: u32, reply: FakeReply) -> io::Result<FakeShard> {
             let served = AtomicU32::new(0);
             let server = HttpServer::start(
                 addr,
@@ -668,15 +656,16 @@ mod tests {
                             served.fetch_add(1, Ordering::SeqCst);
                             let v: Value = serde_json::from_str(req.body_utf8()).unwrap();
                             let records: Vec<Value> = v["nodes"]
-                            .as_array()
-                            .unwrap()
-                            .iter()
-                            .map(|n| json!({"node": n.clone(), "predicted": shard_id, "correct": true}))
-                            .collect();
+                                .as_array()
+                                .unwrap()
+                                .iter()
+                                .filter(|n| n.as_u64() != reply.omit)
+                                .map(|n| json!({"node": n.clone(), "predicted": shard_id, "correct": true}))
+                                .collect();
                             jstr(&json!({
                                 "tenant": v.get("tenant").cloned().unwrap_or(json!("public")),
                                 "records": records,
-                                "replayed": false,
+                                "replayed": reply.replayed,
                                 "billed_tokens": 7,
                                 "degraded": false,
                             }))
@@ -740,6 +729,41 @@ mod tests {
     }
 
     #[test]
+    fn routed_replayed_is_the_sum_of_worker_counts() {
+        let map = line_map(100, 2);
+        let replay_two = FakeReply { replayed: 2, ..FakeReply::default() };
+        let s0 = FakeShard::start_with(0, replay_two);
+        let s1 = FakeShard::start_with(1, replay_two);
+        let router =
+            Router::start("127.0.0.1:0", map, RouterConfig::new(vec![s0.addr, s1.addr]))
+                .unwrap();
+        let (status, body) =
+            http_post(router.addr(), "/v1/classify", r#"{"nodes":[1, 99]}"#).unwrap();
+        assert!(status.contains("200"), "status: {status}, body: {body}");
+        let v: Value = serde_json::from_str(&body).unwrap();
+        assert_eq!(v["replayed"].as_u64(), Some(4), "two shards replayed two each: {body}");
+        router.shutdown();
+    }
+
+    #[test]
+    fn a_reply_missing_a_requested_node_is_a_502_naming_shard_and_node() {
+        let map = line_map(100, 2);
+        let s0 = FakeShard::start(0);
+        let s1 = FakeShard::start_with(1, FakeReply { omit: Some(60), ..FakeReply::default() });
+        let router =
+            Router::start("127.0.0.1:0", map, RouterConfig::new(vec![s0.addr, s1.addr]))
+                .unwrap();
+        let (status, body) =
+            http_post(router.addr(), "/v1/classify", r#"{"nodes":[99, 1, 60, 2]}"#).unwrap();
+        assert!(status.contains("502"), "status: {status}, body: {body}");
+        let v: Value = serde_json::from_str(&body).unwrap();
+        let error = v["error"].as_str().unwrap();
+        assert!(error.contains("shard 1") && error.contains("60"), "error: {error}");
+        assert_eq!(v["shard"].as_u64(), Some(1));
+        router.shutdown();
+    }
+
+    #[test]
     fn dead_shard_is_ejected_survivors_answer_and_probe_readmits() {
         let map = line_map(100, 2);
         let s0 = FakeShard::start(0);
@@ -767,7 +791,7 @@ mod tests {
 
         // Restart the worker on the same port; the probe re-admits.
         let revived = loop {
-            match FakeShard::start_at(&s1.addr.to_string(), 1) {
+            match FakeShard::start_at(&s1.addr.to_string(), 1, FakeReply::default()) {
                 Ok(shard) => break shard,
                 Err(_) => thread::sleep(Duration::from_millis(10)),
             }

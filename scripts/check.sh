@@ -22,4 +22,9 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 echo "==> cargo test -q"
 cargo test -q
 
+# perfbench is its own package (outside the workspace) built on the
+# crates' public API; its unit tests catch a change it was not updated for.
+echo "==> cargo test --release --manifest-path perfbench/Cargo.toml"
+cargo test --release --manifest-path perfbench/Cargo.toml
+
 echo "All checks passed."

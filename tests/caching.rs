@@ -4,10 +4,9 @@
 //! `BENCH_PR2.json` bench gate rely on.
 
 use mqo_core::boosting::{run_with_boosting, BoostConfig};
-use mqo_core::parallel::run_all_batched;
 use mqo_core::predictor::KhopRandom;
 use mqo_core::pruning::PrunePlan;
-use mqo_core::{Executor, LabelStore};
+use mqo_core::{Executor, LabelStore, Labels, SchedulePolicy, Scheduler};
 use mqo_data::{dataset, DatasetId};
 use mqo_graph::{GraphBuilder, LabeledSplit, NodeId, NodeText, SplitConfig, Tag};
 use mqo_llm::{CachedLlm, LanguageModel, ModelProfile, ScriptedLlm, SimLlm};
@@ -166,7 +165,10 @@ fn batched_execution_composes_with_the_cache() {
         4096,
     );
     let exec = Executor::new(tag, &llm, 4, 5);
-    let out = run_all_batched(&exec, &predictor, &labels, &queries, |_| false, 4, 16).unwrap();
+    let out = Scheduler::new(&exec, SchedulePolicy::Batched { threads: 4, batch_size: 16 })
+        .run(&predictor, Labels::Fixed(&labels), &queries, |_| false)
+        .unwrap()
+        .outcome;
     let s = llm.stats();
     assert!(
         s.cache.hits + s.coalesced >= split.queries().len() as u64,

@@ -358,7 +358,17 @@ fn drain_completes_in_flight_work_then_refuses_connections() {
     // Put a large batch in flight, then drain while it runs.
     let in_flight: Vec<u32> = (0..120).collect();
     let client = std::thread::spawn(move || classify(addr, &nodes_json(&in_flight)));
-    std::thread::sleep(Duration::from_millis(5));
+    // Drain once the batch is past admission, so it is in flight: a
+    // request that reaches admission after the drain began is refused
+    // with `503` by design, which is another test's subject.
+    let admitted = || {
+        let stats: serde_json::Value =
+            serde_json::from_str(&engine.stats_json(None, 0)).unwrap();
+        stats["tenants"]["default"]["admitted"].as_u64().unwrap_or(0) > 0
+    };
+    while !admitted() {
+        std::thread::sleep(Duration::from_millis(1));
+    }
     let report = server.drain();
 
     let (status, response) = client.join().expect("in-flight client");
