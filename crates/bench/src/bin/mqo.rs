@@ -527,6 +527,7 @@ fn cmd_classify(pos: &[String], flags: &HashMap<String, String>) -> Result<(), S
         })
         .map_err(|e| format!("boosting: {e}"))?;
         println!("boosting rounds: {}", report.rounds.len());
+        println!("readiness checks: {}", report.readiness_checks);
         report.outcome
     } else {
         let labels = LabelStore::from_split(&bundle.tag, &split);

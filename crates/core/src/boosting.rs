@@ -76,15 +76,17 @@ pub(crate) fn label_support(
     rng: &mut StdRng,
 ) -> (usize, usize) {
     let selected = predictor.select_neighbors(ctx, v, rng);
-    let mut labels_seen = HashSet::new();
-    let mut count = 0usize;
-    for n in selected {
-        if let Some(c) = ctx.labels.get(n) {
-            count += 1;
-            labels_seen.insert(c);
+    // Distinct classes without allocating: a class counts at its first
+    // selection (at most `M` neighbors, so the scan back is short).
+    let (mut count, mut kinds) = (0usize, 0usize);
+    for (i, &n) in selected.iter().enumerate() {
+        let Some(c) = ctx.labels.get(n) else { continue };
+        count += 1;
+        if selected[..i].iter().all(|&m| ctx.labels.get(m) != Some(c)) {
+            kinds += 1;
         }
     }
-    (count, labels_seen.len())
+    (count, kinds)
 }
 
 /// Run Algorithm 2: boosting over `queries` with optional pruning composed
@@ -387,6 +389,23 @@ mod tests {
     use crate::predictor::KhopRandom;
     use mqo_graph::ClassId;
     use mqo_llm::{LanguageModel, ScriptedLlm};
+
+    /// `|N_i^L|` counts every labeled selection and `LC_i` each class
+    /// once, whatever its id.
+    #[test]
+    fn label_support_counts_labels_and_distinct_classes() {
+        let tag = two_cliques();
+        let mut labels = LabelStore::empty(tag.num_nodes());
+        for (v, c) in [(1, 0), (2, 300), (3, 0), (4, 300), (5, 7)] {
+            labels.add_pseudo(NodeId(v), ClassId(c));
+        }
+        let ctx = SelectCtx { tag: &tag, labels: &labels, max_neighbors: 10 };
+        let p = KhopRandom::new(1, tag.num_nodes());
+        let mut rng = StdRng::seed_from_u64(0);
+        assert_eq!(label_support(&p, &ctx, NodeId(0), &mut rng), (5, 3));
+        // Node 6's clique is unlabeled; only the bridge to 5 carries one.
+        assert_eq!(label_support(&p, &ctx, NodeId(6), &mut rng), (1, 1));
+    }
 
     #[test]
     fn boosting_executes_every_query_exactly_once() {

@@ -15,8 +15,9 @@ pub struct KhopRandom {
     k: u8,
     name: String,
     /// Reusable BFS scratch, shared behind a lock so the predictor can be
-    /// `&self` in the trait (execution is effectively single-threaded; the
-    /// lock is uncontended).
+    /// `&self` in the trait. Pooled runs contend on it: the scheduler's
+    /// readiness checks and every worker's prompt render take it, each
+    /// for one BFS plus one sample.
     buf: Mutex<(KhopBuffer, Vec<mqo_graph::traversal::HopNode>)>,
 }
 
@@ -40,6 +41,10 @@ impl KhopRandom {
 impl Predictor for KhopRandom {
     fn name(&self) -> &str {
         &self.name
+    }
+
+    fn cue_radius(&self) -> Option<u8> {
+        Some(self.k)
     }
 
     fn select_neighbors(

@@ -19,6 +19,8 @@ pub struct LlmRanked {
     k: u8,
     name: String,
     embeddings: Vec<Vec<f32>>,
+    /// BFS scratch behind a lock, as in [`super::KhopRandom`]: readiness
+    /// checks and pool workers contend on it, each for one BFS.
     buf: Mutex<(KhopBuffer, Vec<mqo_graph::traversal::HopNode>)>,
 }
 
@@ -44,6 +46,10 @@ impl Predictor for LlmRanked {
 
     fn ranked(&self) -> bool {
         true
+    }
+
+    fn cue_radius(&self) -> Option<u8> {
+        Some(self.k)
     }
 
     fn select_neighbors(

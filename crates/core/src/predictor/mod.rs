@@ -46,6 +46,17 @@ pub trait Predictor: Send + Sync {
     fn select_neighbors(&self, ctx: &SelectCtx<'_>, v: NodeId, rng: &mut StdRng)
         -> Vec<NodeId>;
 
+    /// The cue radius `r`: every node `select_neighbors(ctx, v, rng)`
+    /// returns lies within `r` hops of `v`, and a label change farther
+    /// than `r` hops from `v` cannot change what it returns. The
+    /// cue-gated scheduler relies on it to re-check readiness only for
+    /// the pending queries near a newly labeled node. `None` (the
+    /// default) promises nothing, and every label change re-checks every
+    /// pending query.
+    fn cue_radius(&self) -> Option<u8> {
+        None
+    }
+
     /// Render one selected neighbor as a prompt entry. The default uses the
     /// neighbor's full title plus its known label; instruction-tuned
     /// variants override this (e.g. graph-token backbones compress the raw

@@ -58,6 +58,14 @@ impl Predictor for Sns {
         true
     }
 
+    /// No radius: the progressive search widens until it has enough
+    /// labeled candidates, up to five hops, so a label anywhere in that
+    /// range can change the selection. Re-checking every pending query
+    /// is cheaper than a five-hop BFS per label change.
+    fn cue_radius(&self) -> Option<u8> {
+        None
+    }
+
     fn select_neighbors(
         &self,
         ctx: &SelectCtx<'_>,

@@ -13,6 +13,10 @@ impl Predictor for ZeroShot {
         "vanilla zero-shot"
     }
 
+    fn cue_radius(&self) -> Option<u8> {
+        Some(0)
+    }
+
     fn select_neighbors(
         &self,
         _ctx: &SelectCtx<'_>,

@@ -28,6 +28,9 @@
 //!   each completion folds its pseudo-label immediately and newly
 //!   qualified queries dispatch while their siblings are still in
 //!   flight, overlapping LLM latency with readiness evaluation.
+//!   Both modes ask one readiness tracker, which re-checks a pending
+//!   query only when a label lands within the predictor's
+//!   [`Predictor::cue_radius`] of it.
 //!
 //! ## Determinism contract
 //!
@@ -61,8 +64,9 @@ use crate::labels::LabelStore;
 use crate::parallel::panic_message;
 use crate::predictor::{Predictor, SelectCtx};
 use crate::queue::BoundedQueue;
+use mqo_graph::traversal::{khop_nodes, HopNode, KhopBuffer};
 use mqo_graph::NodeId;
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{mpsc, Arc};
 
@@ -136,6 +140,10 @@ pub struct RunReport {
     pub replayed: u64,
     /// Prompt tokens billed to freshly executed (non-replayed) records.
     pub fresh_billed_tokens: u64,
+    /// Readiness `label_support` calls (cue-gated runs): one per query
+    /// entering pending, and one per re-check of a pending query after a
+    /// label change within the predictor's cue radius of it.
+    pub readiness_checks: u64,
 }
 
 /// One unit of dispatched work: a single query, or a whole
@@ -429,6 +437,7 @@ impl<'s, 'e> Scheduler<'s, 'e> {
         let mut report = RunReport::default();
         let mut pending: Vec<NodeId> = queries.to_vec();
         self.predrain_replays(labels, &mut pending, &mut report);
+        let mut readiness = Readiness::new(exec.tag, predictor.cue_radius(), &pending);
 
         let mut gamma1 = config.gamma1;
         let mut gamma2 = config.gamma2;
@@ -440,28 +449,18 @@ impl<'s, 'e> Scheduler<'s, 'e> {
         };
         let mut scratch = RenderScratch::new();
 
-        while !pending.is_empty() {
-            // Readiness pass with incremental relaxation: pending is
-            // drained in stable input order (a node is pending at most
-            // once, so no tie-break is needed beyond queue position).
+        while !readiness.is_empty() {
+            // Readiness with incremental relaxation: candidates come out
+            // in stable pending order (input order).
             let candidates: Vec<NodeId> = loop {
-                let ctx =
-                    SelectCtx { tag: exec.tag, labels, max_neighbors: exec.max_neighbors };
-                let mut c = Vec::new();
-                for &v in &pending {
-                    if force_prune(&failures, v) {
-                        // Pruned (or failure-downgraded) queries can't be
-                        // enriched; run them now.
-                        c.push(v);
-                        continue;
-                    }
-                    // Per-node rng: N_i only changes when label knowledge does.
-                    let mut rng = exec.query_rng(v);
-                    let (n_l, lc) = label_support(predictor, &ctx, v, &mut rng);
-                    if n_l >= gamma1 && lc <= gamma2 {
-                        c.push(v);
-                    }
-                }
+                let c = readiness.ready(
+                    exec,
+                    predictor,
+                    labels,
+                    |v| force_prune(&failures, v),
+                    gamma1,
+                    gamma2,
+                );
                 if !c.is_empty() {
                     break c;
                 }
@@ -472,7 +471,7 @@ impl<'s, 'e> Scheduler<'s, 'e> {
                 } else if gamma2 < k {
                     gamma2 += 1;
                 } else {
-                    break pending.clone();
+                    break readiness.pending();
                 }
             };
 
@@ -511,6 +510,7 @@ impl<'s, 'e> Scheduler<'s, 'e> {
                             if *n >= policy.give_up_after {
                                 round_records.push(r); // permanent failed outcome
                             }
+                            readiness.touch(v);
                         }
                         Ok(r) => {
                             failures.remove(&v);
@@ -539,6 +539,7 @@ impl<'s, 'e> Scheduler<'s, 'e> {
                             if *n >= policy.give_up_after {
                                 round_records.push(r);
                             }
+                            readiness.touch(v);
                         }
                         Ok(r) => {
                             failures.remove(&v);
@@ -555,8 +556,10 @@ impl<'s, 'e> Scheduler<'s, 'e> {
             drop(round_span);
             report.rounds.push(RoundTrace { executed: round_records.len(), gamma1, gamma2 });
             for r in &round_records {
+                readiness.remove(r.node);
                 if !r.failed() {
                     labels.add_pseudo(r.node, r.predicted);
+                    readiness.labeled(r.node);
                 }
             }
             exec.sink.emit(&mqo_obs::Event::RoundCompleted {
@@ -578,10 +581,9 @@ impl<'s, 'e> Scheduler<'s, 'e> {
             if let Some(j) = exec.journal {
                 j.seal_round(round_index as u32);
             }
-            let finished: HashSet<NodeId> = round_records.iter().map(|r| r.node).collect();
             report.outcome.records.extend(round_records);
-            pending.retain(|v| !finished.contains(v));
         }
+        report.readiness_checks = readiness.checks;
         Ok(report)
     }
 
@@ -634,11 +636,12 @@ impl<'s, 'e> Scheduler<'s, 'e> {
 
     /// Free-running cue-gated execution: no wave barrier. Completions
     /// fold their pseudo-labels the moment they land, readiness is
-    /// re-evaluated over the still-pending set, and newly qualified
-    /// queries dispatch against a fresh label snapshot while earlier
-    /// queries are still in flight. Thresholds relax only when nothing
-    /// is ready *and* nothing is in flight — an in-flight completion may
-    /// yet unlock a pending query at the current (γ1, γ2).
+    /// re-checked for the pending queries near the new labels, and newly
+    /// qualified queries dispatch against a fresh (copy-on-write) label
+    /// snapshot while earlier queries are still in flight. Thresholds
+    /// relax only when nothing is ready *and* nothing is in flight — an
+    /// in-flight completion may yet unlock a pending query at the
+    /// current (γ1, γ2).
     #[allow(clippy::too_many_arguments)]
     fn cue_gated_free(
         &self,
@@ -654,6 +657,7 @@ impl<'s, 'e> Scheduler<'s, 'e> {
         let mut report = RunReport::default();
         let mut pending: Vec<NodeId> = queries.to_vec();
         self.predrain_replays(labels, &mut pending, &mut report);
+        let mut readiness = Readiness::new(exec.tag, predictor.cue_radius(), &pending);
 
         let mut gamma1 = config.gamma1;
         let mut gamma2 = config.gamma2;
@@ -684,14 +688,12 @@ impl<'s, 'e> Scheduler<'s, 'e> {
             drop(done_tx);
 
             loop {
-                if first_err.is_none() && !pending.is_empty() {
-                    let mut ready = ready_set(
+                if first_err.is_none() && !readiness.is_empty() {
+                    let mut ready = readiness.ready(
                         exec,
                         predictor,
                         labels,
-                        &pending,
-                        &failures,
-                        &force_prune,
+                        |v| force_prune(&failures, v),
                         gamma1,
                         gamma2,
                     );
@@ -703,16 +705,14 @@ impl<'s, 'e> Scheduler<'s, 'e> {
                         } else if gamma2 < k {
                             gamma2 += 1;
                         } else {
-                            ready = pending.clone();
+                            ready = readiness.pending();
                             break;
                         }
-                        ready = ready_set(
+                        ready = readiness.ready(
                             exec,
                             predictor,
                             labels,
-                            &pending,
-                            &failures,
-                            &force_prune,
+                            |v| force_prune(&failures, v),
                             gamma1,
                             gamma2,
                         );
@@ -722,9 +722,8 @@ impl<'s, 'e> Scheduler<'s, 'e> {
                             snapshot = Arc::new(labels.clone());
                             dirty = false;
                         }
-                        let ready_lookup: HashSet<NodeId> = ready.iter().copied().collect();
-                        pending.retain(|v| !ready_lookup.contains(v));
                         for v in ready {
+                            readiness.remove(v);
                             let work = Work {
                                 items: vec![WorkItem {
                                     slot: 0,
@@ -764,10 +763,11 @@ impl<'s, 'e> Scheduler<'s, 'e> {
                             if *n >= policy.give_up_after {
                                 executed += 1;
                                 pseudo_uses += r.pseudo_neighbors as u64;
+                                readiness.touch(r.node);
                                 exec.journal_record(&r);
                                 report.outcome.records.push(r);
                             } else {
-                                pending.push(done.node); // retry once re-ready
+                                readiness.push_back(done.node); // retry once re-ready
                             }
                         }
                         Ok(r) => {
@@ -775,6 +775,7 @@ impl<'s, 'e> Scheduler<'s, 'e> {
                             executed += 1;
                             pseudo_uses += r.pseudo_neighbors as u64;
                             labels.add_pseudo(r.node, r.predicted);
+                            readiness.labeled(r.node);
                             dirty = true;
                             exec.journal_record(&r);
                             report.fresh_billed_tokens += r.prompt_tokens;
@@ -812,6 +813,7 @@ impl<'s, 'e> Scheduler<'s, 'e> {
             dispatch.close();
         });
 
+        report.readiness_checks = readiness.checks;
         match first_err {
             Some(e) => Err(e),
             None => Ok(report),
@@ -845,33 +847,227 @@ impl<'s, 'e> Scheduler<'s, 'e> {
     }
 }
 
-/// The γ₁/γ₂ readiness pass for free-running dispatch: pending queries
-/// that qualify right now, in stable input order.
-#[allow(clippy::too_many_arguments)]
-fn ready_set(
-    exec: &Executor<'_>,
-    predictor: &dyn Predictor,
-    labels: &LabelStore,
-    pending: &[NodeId],
-    failures: &HashMap<NodeId, usize>,
-    force_prune: &impl Fn(&HashMap<NodeId, usize>, NodeId) -> bool,
-    gamma1: usize,
-    gamma2: usize,
-) -> Vec<NodeId> {
-    let ctx = SelectCtx { tag: exec.tag, labels, max_neighbors: exec.max_neighbors };
-    let mut ready = Vec::new();
-    for &v in pending {
-        if force_prune(failures, v) {
-            ready.push(v);
-            continue;
+/// Incremental γ₁/γ₂ readiness over the pending queries: Algorithm 2's
+/// "is this query ready yet" check, paid only for what changed.
+///
+/// Each pending query caches its `(|N_i^L|, LC_i)`, and the verdict
+/// `n_l ≥ γ1 && lc ≤ γ2` is re-derived from the cache, so a γ relaxation
+/// makes no predictor calls. A new label marks dirty only the pending
+/// queries within the predictor's [`Predictor::cue_radius`] of the labeled
+/// node (the graph is undirected, so a BFS from that node finds them),
+/// and only dirty queries call `label_support` again. Ready queries come
+/// out in pending order: input order, a retried query re-entering at the
+/// back. A node listed twice is pending twice, and every per-node
+/// operation applies to all of its entries.
+struct Readiness<'g> {
+    graph: &'g mqo_graph::Csr,
+    radius: Option<u8>,
+    entries: Vec<Entry>,
+    /// Per node, its newest entry (`NONE` if it was never pending); older
+    /// entries of the same node chain through [`Entry::prev`].
+    newest: Vec<u32>,
+    /// Pending entries by position in pending order.
+    pending: BTreeMap<u64, u32>,
+    /// The pending entries whose verdict holds, by position.
+    ready: BTreeMap<u64, NodeId>,
+    /// Entries to re-check before the next verdict (may hold entries
+    /// that have since left pending; their flag decides).
+    dirty: Vec<u32>,
+    /// Every pending entry is dirty (a label change under no radius).
+    all_dirty: bool,
+    gamma: (usize, usize),
+    next_position: u64,
+    bfs: KhopBuffer,
+    hops: Vec<HopNode>,
+    /// `label_support` calls made so far.
+    checks: u64,
+}
+
+struct Entry {
+    node: NodeId,
+    prev: u32,
+    /// Position in pending order; `None` while queued, in flight or done.
+    position: Option<u64>,
+    dirty: bool,
+    /// Pruned or failure-downgraded: ready without any support.
+    forced: bool,
+    support: (usize, usize),
+}
+
+impl Entry {
+    fn verdict(&self, (gamma1, gamma2): (usize, usize)) -> bool {
+        self.forced || (self.support.0 >= gamma1 && self.support.1 <= gamma2)
+    }
+}
+
+const NONE: u32 = u32::MAX;
+
+impl<'g> Readiness<'g> {
+    /// Track `pending` (in order), every entry dirty.
+    fn new(tag: &'g mqo_graph::Tag, radius: Option<u8>, pending: &[NodeId]) -> Self {
+        let mut r = Readiness {
+            graph: tag.graph(),
+            radius,
+            entries: Vec::with_capacity(pending.len()),
+            newest: vec![NONE; tag.num_nodes()],
+            pending: BTreeMap::new(),
+            ready: BTreeMap::new(),
+            dirty: Vec::with_capacity(pending.len()),
+            all_dirty: false,
+            gamma: (0, 0),
+            next_position: 0,
+            bfs: KhopBuffer::new(tag.num_nodes()),
+            hops: Vec::new(),
+            checks: 0,
+        };
+        for &v in pending {
+            let e = r.entries.len() as u32;
+            r.entries.push(Entry {
+                node: v,
+                prev: r.newest[v.index()],
+                position: None,
+                dirty: false,
+                forced: false,
+                support: (0, 0),
+            });
+            r.newest[v.index()] = e;
+            r.enqueue(e);
         }
-        let mut rng = exec.query_rng(v);
-        let (n_l, lc) = label_support(predictor, &ctx, v, &mut rng);
-        if n_l >= gamma1 && lc <= gamma2 {
-            ready.push(v);
+        r
+    }
+
+    /// Whether nothing is pending.
+    fn is_empty(&self) -> bool {
+        self.pending.is_empty()
+    }
+
+    /// Every pending node, in pending order.
+    fn pending(&self) -> Vec<NodeId> {
+        self.pending.values().map(|&e| self.entries[e as usize].node).collect()
+    }
+
+    /// The pending queries ready at `(gamma1, gamma2)`, in pending order.
+    /// Re-checks the dirty entries against `labels` first.
+    fn ready(
+        &mut self,
+        exec: &Executor<'_>,
+        predictor: &dyn Predictor,
+        labels: &LabelStore,
+        force_prune: impl Fn(NodeId) -> bool,
+        gamma1: usize,
+        gamma2: usize,
+    ) -> Vec<NodeId> {
+        let ctx = SelectCtx { tag: exec.tag, labels, max_neighbors: exec.max_neighbors };
+        let gamma_changed = self.gamma != (gamma1, gamma2);
+        self.gamma = (gamma1, gamma2);
+        if std::mem::take(&mut self.all_dirty) {
+            let pending: Vec<u32> = self.pending.values().copied().collect();
+            for e in pending {
+                self.mark(e);
+            }
+        }
+        for e in std::mem::take(&mut self.dirty) {
+            let entry = &mut self.entries[e as usize];
+            if !std::mem::take(&mut entry.dirty) || entry.position.is_none() {
+                continue;
+            }
+            let v = entry.node;
+            entry.forced = force_prune(v);
+            if !entry.forced {
+                // Per-node rng: N_i only changes when label knowledge does.
+                let mut rng = exec.query_rng(v);
+                entry.support = label_support(predictor, &ctx, v, &mut rng);
+                self.checks += 1;
+            }
+            if !gamma_changed {
+                self.settle(e);
+            }
+        }
+        if gamma_changed {
+            let pending: Vec<u32> = self.pending.values().copied().collect();
+            for e in pending {
+                self.settle(e);
+            }
+        }
+        self.ready.values().copied().collect()
+    }
+
+    /// Take `v` out of pending (dispatched, or finished).
+    fn remove(&mut self, v: NodeId) {
+        let mut e = self.newest[v.index()];
+        while e != NONE {
+            if let Some(p) = self.entries[e as usize].position.take() {
+                self.pending.remove(&p);
+                self.ready.remove(&p);
+            }
+            e = self.entries[e as usize].prev;
         }
     }
-    ready
+
+    /// Put `v` back at the end of pending order (a failed query to retry).
+    fn push_back(&mut self, v: NodeId) {
+        let mut e = self.newest[v.index()];
+        while e != NONE && self.entries[e as usize].position.is_some() {
+            e = self.entries[e as usize].prev;
+        }
+        assert!(e != NONE, "only a query that was pending can come back");
+        self.enqueue(e);
+        self.touch(v);
+    }
+
+    /// `v`'s failure count changed, and with it whether it is forced.
+    fn touch(&mut self, v: NodeId) {
+        let mut e = self.newest[v.index()];
+        while e != NONE {
+            self.mark(e);
+            e = self.entries[e as usize].prev;
+        }
+    }
+
+    /// `v` gained (or changed) a label: re-check every pending query
+    /// within the cue radius of it.
+    fn labeled(&mut self, v: NodeId) {
+        let Some(radius) = self.radius else {
+            self.all_dirty = true;
+            return;
+        };
+        self.touch(v);
+        if radius > 0 && !self.pending.is_empty() {
+            let mut hops = std::mem::take(&mut self.hops);
+            khop_nodes(self.graph, v, radius, &mut self.bfs, &mut hops);
+            for h in &hops {
+                self.touch(h.node);
+            }
+            self.hops = hops;
+        }
+    }
+
+    fn enqueue(&mut self, e: u32) {
+        let position = self.next_position;
+        self.next_position += 1;
+        self.entries[e as usize].position = Some(position);
+        self.pending.insert(position, e);
+        self.mark(e);
+    }
+
+    fn mark(&mut self, e: u32) {
+        let entry = &mut self.entries[e as usize];
+        if entry.position.is_some() && !entry.dirty {
+            entry.dirty = true;
+            self.dirty.push(e);
+        }
+    }
+
+    /// File a freshly checked entry under ready or not.
+    fn settle(&mut self, e: u32) {
+        let entry = &self.entries[e as usize];
+        let position = entry.position.expect("only pending entries settle");
+        if entry.verdict(self.gamma) {
+            self.ready.insert(position, entry.node);
+        } else {
+            self.ready.remove(&position);
+        }
+    }
 }
 
 /// The worker side of the pool: pull work from the dispatch queue, run
@@ -963,8 +1159,9 @@ mod tests {
         run_with_boosting_policy, run_with_boosting_policy_legacy, RoundTrace,
     };
     use crate::parallel::legacy;
-    use crate::predictor::KhopRandom;
+    use crate::predictor::{KhopRandom, LlmRanked, ZeroShot};
     use crate::pruning::PrunePlan;
+    use crate::tuned::TunedPredictor;
     use mqo_fault::{FaultConfig, FaultSchedule, FaultyLlm};
     use mqo_graph::{ClassId, GraphBuilder, NodeText, Tag};
     use mqo_llm::{Completion, LanguageModel};
@@ -1053,6 +1250,61 @@ mod tests {
 
     fn trace_fields(traces: &[RoundTrace]) -> Vec<(usize, usize, usize)> {
         traces.iter().map(|t| (t.executed, t.gamma1, t.gamma2)).collect()
+    }
+
+    /// A predictor with its cue radius hidden (`None`).
+    struct NoRadius<P>(P);
+
+    impl<P: Predictor> Predictor for NoRadius<P> {
+        fn name(&self) -> &str {
+            self.0.name()
+        }
+
+        fn select_neighbors(
+            &self,
+            ctx: &SelectCtx<'_>,
+            v: NodeId,
+            rng: &mut StdRng,
+        ) -> Vec<NodeId> {
+            self.0.select_neighbors(ctx, v, rng)
+        }
+    }
+
+    /// Every predictor the readiness tracker must agree with, covering
+    /// radii 0, 1, 2 and `None`.
+    fn radius_predictors(tag: &Tag) -> Vec<Box<dyn Predictor>> {
+        let n = tag.num_nodes();
+        let backbones = crate::tuned::instructglm_backbones();
+        vec![
+            Box::new(KhopRandom::new(1, n)),
+            Box::new(KhopRandom::new(2, n)),
+            Box::new(LlmRanked::fit(tag, 1)),
+            Box::new(LlmRanked::fit(tag, 2)),
+            Box::new(ZeroShot),
+            Box::new(TunedPredictor::new(backbones[0], n)),
+            Box::new(TunedPredictor::new(backbones[2], n)),
+            Box::new(NoRadius(KhopRandom::new(1, n))),
+        ]
+    }
+
+    /// The readiness oracle: a full `label_support` scan of `pending`.
+    fn full_scan(
+        exec: &Executor<'_>,
+        predictor: &dyn Predictor,
+        labels: &LabelStore,
+        pending: &[NodeId],
+        forced: &HashSet<NodeId>,
+        (gamma1, gamma2): (usize, usize),
+    ) -> Vec<NodeId> {
+        let ctx = SelectCtx { tag: exec.tag, labels, max_neighbors: exec.max_neighbors };
+        pending
+            .iter()
+            .copied()
+            .filter(|&v| {
+                let (n_l, lc) = label_support(predictor, &ctx, v, &mut exec.query_rng(v));
+                forced.contains(&v) || (n_l >= gamma1 && lc <= gamma2)
+            })
+            .collect()
     }
 
     proptest! {
@@ -1290,6 +1542,143 @@ mod tests {
             prop_assert_eq!(
                 report.rounds.iter().map(|t| t.executed).sum::<usize>(),
                 queries.len()
+            );
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The readiness tracker's ready list equals a full
+        /// `label_support` scan, element for element in pending order,
+        /// after every step of a random interleaving of pseudo-label
+        /// folds, failure downgrades, retries, dispatches and γ
+        /// relaxations, for predictors of every cue radius.
+        #[test]
+        fn readiness_tracker_matches_a_full_scan(
+            seed in 0u64..10_000,
+            n in 6usize..24,
+            which in 0usize..8,
+            duplicate in any::<bool>(),
+            gamma in (0usize..4, 0usize..3),
+            steps in prop::collection::vec((0u8..5, 0usize..64, 0usize..64), 1..40),
+        ) {
+            let k = 3;
+            let tag = random_tag(seed, n, k);
+            let (mut pending, mut labels) = split(&tag);
+            if duplicate {
+                pending.push(pending[0]);
+            }
+            let predictor = radius_predictors(&tag).swap_remove(which);
+            let llm = HashLlm::new(tag.class_names().to_vec());
+            let exec = Executor::new(&tag, &llm, 3, seed);
+            let mut readiness = Readiness::new(&tag, predictor.cue_radius(), &pending);
+            let mut forced = HashSet::new();
+            let (mut gamma1, mut gamma2) = gamma;
+
+            for (op, a, b) in steps {
+                match op {
+                    // Fold: some node (a query that just finished, or any
+                    // other) gains or changes a pseudo-label.
+                    0 => {
+                        let u = NodeId((a % n) as u32);
+                        pending.retain(|&v| v != u);
+                        readiness.remove(u);
+                        labels.add_pseudo(u, ClassId((b % k) as u16));
+                        readiness.labeled(u);
+                    }
+                    // Failure downgrade: a pending query is forced ready.
+                    1 if !pending.is_empty() => {
+                        let v = pending[a % pending.len()];
+                        forced.insert(v);
+                        readiness.touch(v);
+                    }
+                    // Relaxation, γ1 toward 0 and then γ2 toward K.
+                    2 => {
+                        if gamma1 > 0 {
+                            gamma1 -= 1;
+                        } else if gamma2 < k {
+                            gamma2 += 1;
+                        }
+                    }
+                    // Retry: a query leaves and re-enters at the back.
+                    3 if !pending.is_empty() => {
+                        let v = pending[a % pending.len()];
+                        pending.retain(|&u| u != v);
+                        readiness.remove(v);
+                        pending.push(v);
+                        readiness.push_back(v);
+                    }
+                    // Dispatch everything ready, as the free-running path does.
+                    4 => {
+                        let ready = readiness.ready(
+                            &exec, predictor.as_ref(), &labels,
+                            |v| forced.contains(&v), gamma1, gamma2,
+                        );
+                        for v in ready {
+                            pending.retain(|&u| u != v);
+                            readiness.remove(v);
+                        }
+                    }
+                    _ => {}
+                }
+                let expected = full_scan(
+                    &exec, predictor.as_ref(), &labels, &pending, &forced, (gamma1, gamma2),
+                );
+                let got = readiness.ready(
+                    &exec, predictor.as_ref(), &labels,
+                    |v| forced.contains(&v), gamma1, gamma2,
+                );
+                prop_assert_eq!(&got, &expected, "{} after op {}", predictor.name(), op);
+                prop_assert_eq!(readiness.pending(), pending.clone());
+            }
+        }
+
+        /// The `cue_radius` contract, per predictor: a label added farther
+        /// than `r` hops from `v` leaves `select_neighbors(ctx, v, rng)`
+        /// byte-equal, and every selected node lies within `r` hops.
+        #[test]
+        fn cue_radius_bounds_what_a_label_change_can_reach(
+            seed in 0u64..10_000,
+            n in 6usize..24,
+            which in 0usize..8,
+            v in 0usize..64,
+            far in 0usize..64,
+            class in 0u16..3,
+        ) {
+            let tag = random_tag(seed, n, 3);
+            let (_, mut labels) = split(&tag);
+            let predictor = radius_predictors(&tag).swap_remove(which);
+            let Some(r) = predictor.cue_radius() else { return Ok(()) };
+            let v = NodeId((v % n) as u32);
+            let near: HashSet<NodeId> =
+                mqo_graph::traversal::khop_nodes_alloc(tag.graph(), v, r)
+                    .into_iter()
+                    .map(|h| h.node)
+                    .chain([v])
+                    .collect();
+            let select = |labels: &LabelStore| {
+                let ctx = SelectCtx { tag: &tag, labels, max_neighbors: 3 };
+                predictor.select_neighbors(&ctx, v, &mut StdRng::seed_from_u64(seed))
+            };
+            let before = select(&labels);
+            for u in &before {
+                prop_assert!(
+                    near.contains(u),
+                    "{} picked {:?} beyond {} hops", predictor.name(), u, r
+                );
+            }
+            let outside: Vec<NodeId> = tag.node_ids().filter(|u| !near.contains(u)).collect();
+            if outside.is_empty() {
+                return Ok(());
+            }
+            let u = outside[far % outside.len()];
+            labels.add_pseudo(u, ClassId(class));
+            labels.ingest_remote(u, ClassId(class));
+            prop_assert_eq!(
+                before,
+                select(&labels),
+                "{} saw a label {} hops out", predictor.name(), r + 1
             );
         }
     }

@@ -82,6 +82,10 @@ impl Predictor for TunedPredictor {
         self.backbone.name
     }
 
+    fn cue_radius(&self) -> Option<u8> {
+        self.khop.cue_radius()
+    }
+
     fn select_neighbors(
         &self,
         ctx: &SelectCtx<'_>,

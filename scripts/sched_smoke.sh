@@ -6,7 +6,9 @@
 #      policy twice under --deterministic (width 4, cache off so the
 #      model sees every call) must dump byte-identical record files.
 #      Any scheduler change that lets pool width, lock timing, or
-#      completion order leak into results fails this diff.
+#      completion order leak into results fails this diff. Each dump must
+#      also equal the committed golden dump, so a readiness change that
+#      alters wave composition across revisions fails too.
 #   2. Invariants under reordering — a traced deterministic wave run AND
 #      a traced free-running run (out-of-order completions folding
 #      pseudo-labels mid-flight) both go through obs_check: span nesting
@@ -34,6 +36,14 @@ if ! cmp "$OUT/records_a.jsonl" "$OUT/records_b.jsonl"; then
   exit 1
 fi
 echo "record dumps byte-identical ($(wc -l < "$OUT/records_a.jsonl") records)"
+GOLDEN=scripts/golden/sched_smoke_records.jsonl
+for leg in a b; do
+  if ! cmp "$GOLDEN" "$OUT/records_$leg.jsonl"; then
+    echo "sched_smoke: FAIL — record dump $leg differs from $GOLDEN" >&2
+    exit 1
+  fi
+done
+echo "record dumps equal the golden dump"
 
 echo "==> invariants: traced deterministic wave run"
 ./target/release/mqo classify cora \

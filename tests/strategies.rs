@@ -3,16 +3,18 @@
 //! come from the bench binaries).
 
 use mqo_core::analysis::info_gain_experiment;
-use mqo_core::boosting::{pseudo_label_utilization, run_with_boosting, BoostConfig};
+use mqo_core::boosting::{
+    pseudo_label_utilization, run_with_boosting, BoostConfig, DegradePolicy,
+};
 use mqo_core::joint::run_joint;
 use mqo_core::linkpred::{run_link_task, LinkDataset, LinkStrategy};
-use mqo_core::predictor::KhopRandom;
+use mqo_core::predictor::{KhopRandom, Predictor, SelectCtx};
 use mqo_core::pruning::PrunePlan;
 use mqo_core::surrogate::SurrogateConfig;
 use mqo_core::tuned::{instructglm_backbones, tuned_profile, TunedPredictor};
-use mqo_core::{Executor, InadequacyScorer, LabelStore};
+use mqo_core::{Executor, InadequacyScorer, LabelStore, Labels, SchedulePolicy, Scheduler};
 use mqo_data::{dataset, DatasetId};
-use mqo_graph::{LabeledSplit, SplitConfig};
+use mqo_graph::{LabeledSplit, NodeId, SplitConfig};
 use mqo_llm::{ModelProfile, SimLinkLlm, SimLlm};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -236,4 +238,57 @@ fn models_have_different_saturation_sets() {
     let b = correct_set(ModelProfile::gpt4o_mini());
     let disagreements = a.iter().zip(&b).filter(|(x, y)| x != y).count();
     assert!(disagreements > 10, "saturation sets identical across models");
+}
+
+/// A predictor with its cue radius hidden: every label change re-checks
+/// every pending query (the behaviour of a method without a radius).
+struct NoRadius<'p>(&'p dyn Predictor);
+
+impl Predictor for NoRadius<'_> {
+    fn name(&self) -> &str {
+        self.0.name()
+    }
+
+    fn select_neighbors(
+        &self,
+        ctx: &SelectCtx<'_>,
+        v: NodeId,
+        rng: &mut StdRng,
+    ) -> Vec<NodeId> {
+        self.0.select_neighbors(ctx, v, rng)
+    }
+}
+
+/// The readiness tracker pays only for label changes near a pending
+/// query: on a seeded deterministic boosted Cora run, the predictor's own
+/// cue radius gives the same records as re-checking everything after
+/// every wave, with at least 5× fewer readiness `label_support` calls.
+#[test]
+fn cue_radius_cuts_readiness_checks_without_changing_records() {
+    let (bundle, split, llm) = setup(DatasetId::Cora, 1.0, 1000, ModelProfile::gpt35(), 14);
+    let tag = &bundle.tag;
+    let khop = KhopRandom::new(1, tag.num_nodes());
+    let policy = SchedulePolicy::CueGated {
+        config: BoostConfig::default(),
+        policy: DegradePolicy::default(),
+        threads: 2,
+        deterministic: true,
+    };
+    let run = |predictor: &dyn Predictor| {
+        let exec = Executor::new(tag, &llm, 4, 2);
+        let mut labels = LabelStore::from_split(tag, &split);
+        Scheduler::new(&exec, policy)
+            .run(predictor, Labels::Boosting(&mut labels), split.queries(), |_| false)
+            .unwrap()
+    };
+    let near = run(&khop);
+    let all = run(&NoRadius(&khop));
+    assert_eq!(near.outcome.records, all.outcome.records);
+    assert!(near.rounds.len() > 5, "too few waves to tell: {}", near.rounds.len());
+    assert!(
+        near.readiness_checks * 5 <= all.readiness_checks,
+        "radius 1 made {} readiness checks, no radius {}",
+        near.readiness_checks,
+        all.readiness_checks
+    );
 }
