@@ -6,7 +6,8 @@
 //!
 //! Run `mqo` with no arguments for every subcommand's flags; the usage
 //! text is rendered from the same per-subcommand flag table the parser
-//! checks, so an unknown flag is an error (exit 2), never ignored.
+//! ([`mqo_bench::cli`]) checks, so an unknown flag is an error (exit 2),
+//! never ignored.
 //!
 //! Datasets: cora, citeseer, pubmed, ogbn-arxiv, ogbn-products.
 //! Methods: zero-shot, 1hop, 2hop, sns, llmrank.
@@ -16,10 +17,8 @@
 //! serves one shard (pushing boundary pseudo-labels to the router when
 //! boosting); `mqo route` fronts the workers with ownership routing,
 //! batch fan-out, health ejection, and the label exchange relay.
-//!
-//! Argument parsing is hand-rolled (std only) — the tool has eight verbs
-//! and a few dozen flags, not enough to justify a parser dependency.
 
+use mqo_bench::cli::{self, switch, value, Command};
 use mqo_bench::harness::Trace;
 use mqo_core::boosting::{BoostConfig, DegradePolicy};
 use mqo_core::journal::{RunHeader, RunJournal};
@@ -29,45 +28,21 @@ use mqo_core::pruning::PrunePlan;
 use mqo_core::surrogate::SurrogateConfig;
 use mqo_core::{Executor, InadequacyScorer, LabelStore, Labels, SchedulePolicy, Scheduler};
 use mqo_data::{dataset, persist, DatasetBundle, DatasetId};
-use mqo_fault::{FaultConfig, FaultSchedule, FaultyLlm};
+use mqo_fault::{FaultConfig, FaultSchedule};
 use mqo_graph::NodeId;
-use mqo_llm::{
-    CachedLlm, LanguageModel, LenientLlm, ModelProfile, ResilienceConfig, ResilientLlm,
-    RetryingLlm, SimLlm, ValidatingLlm,
-};
+use mqo_llm::{LanguageModel, ModelProfile, SimLlm};
 use mqo_obs::{
-    serve_metrics, ChromeTraceSink, CostLedger, Fanout, MetricsSink, MonotonicClock, SpanId,
-    Tracer, WaitClock,
+    serve_metrics, ChromeTraceSink, CostLedger, EventSink, Fanout, MetricsSink, MonotonicClock,
+    SpanId, Tracer,
 };
-use mqo_serve::{make_predictor, split_for, ServeConfig, ServerOptions};
+use mqo_serve::{
+    client_stack, make_predictor, split_for, ServeConfig, ServerOptions, StackSpec,
+};
 use mqo_token::GPT_35_TURBO_0125;
 use std::collections::HashMap;
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::sync::Arc;
-
-/// One `--flag` of a subcommand: its name, whether it takes a value,
-/// and the value's hint in the usage text.
-struct Flag {
-    name: &'static str,
-    takes_value: bool,
-    hint: &'static str,
-}
-
-const fn value(name: &'static str, hint: &'static str) -> Flag {
-    Flag { name, takes_value: true, hint }
-}
-
-const fn switch(name: &'static str) -> Flag {
-    Flag { name, takes_value: false, hint: "" }
-}
-
-/// A subcommand: its positional arguments and the only flags it accepts.
-struct Command {
-    verb: &'static str,
-    args: &'static str,
-    flags: &'static [Flag],
-}
 
 const COMMANDS: &[Command] = &[
     Command {
@@ -184,60 +159,8 @@ const COMMANDS: &[Command] = &[
 
 /// Print the usage text, rendered from [`COMMANDS`], and exit 2.
 fn usage() -> ExitCode {
-    const WIDTH: usize = 92;
-    let mut text = String::from("usage:");
-    for cmd in COMMANDS {
-        let mut line = format!("  mqo {:<8} {}", cmd.verb, cmd.args);
-        for f in cmd.flags {
-            let item = if f.takes_value {
-                format!(" [--{} {}]", f.name, f.hint)
-            } else {
-                format!(" [--{}]", f.name)
-            };
-            if line.len() + item.len() > WIDTH {
-                text.push('\n');
-                text.push_str(&line);
-                line = " ".repeat(14);
-            }
-            line.push_str(&item);
-        }
-        text.push('\n');
-        text.push_str(line.trim_end());
-    }
-    eprintln!("{text}");
+    eprintln!("{}", cli::usage("mqo", COMMANDS));
     ExitCode::from(2)
-}
-
-/// Split `args` into positionals and `--flag [value]` pairs, accepting
-/// only the flags in `cmd`'s table. An unknown flag or a value flag with
-/// no value is an error naming the flag.
-fn parse_flags(
-    cmd: &Command,
-    args: &[String],
-) -> Result<(Vec<String>, HashMap<String, String>), String> {
-    let mut positional = Vec::new();
-    let mut flags = HashMap::new();
-    let mut args = args.iter();
-    while let Some(arg) = args.next() {
-        let Some(name) = arg.strip_prefix("--") else {
-            positional.push(arg.clone());
-            continue;
-        };
-        let flag = cmd
-            .flags
-            .iter()
-            .find(|f| f.name == name)
-            .ok_or_else(|| format!("unknown flag --{name} for mqo {}", cmd.verb))?;
-        let value = if flag.takes_value {
-            args.next()
-                .ok_or_else(|| format!("--{name} needs a value ({})", flag.hint))?
-                .clone()
-        } else {
-            "true".to_string()
-        };
-        flags.insert(name.to_string(), value);
-    }
-    Ok((positional, flags))
 }
 
 fn dataset_by_name(name: &str) -> Option<DatasetId> {
@@ -321,14 +244,6 @@ fn cmd_classify(pos: &[String], flags: &HashMap<String, String>) -> Result<(), S
         flags.get("budget").map(|b| b.parse().map_err(|_| "bad --budget")).transpose()?;
 
     let split = split_for(&bundle, queries, seed)?;
-    // The client stack a production deployment runs: simulated model →
-    // fault injection (identity pass-through without --faults) →
-    // resilience (backoff, deadline, circuit breaker, rate-limit pacing)
-    // → strict format validation → bounded retries with the format
-    // reminder → lenient recovery (the executor's deterministic parse
-    // fallback is the last resort rather than aborting a campaign).
-    // Validation sits *above* resilience so the breaker counts transport
-    // failures only, never format rejections.
     // With a hard budget the retry layer re-checks each retried prompt
     // against Eq. 2, so retries stay on by default either way.
     let retries: u32 =
@@ -371,55 +286,39 @@ fn cmd_classify(pos: &[String], flags: &HashMap<String, String>) -> Result<(), S
     }
     let observed = !fanout.is_empty();
 
-    let wait_clock: Arc<dyn WaitClock> = Arc::new(MonotonicClock);
     let sim = SimLlm::new(bundle.lexicon.clone(), bundle.tag.class_names().to_vec(), profile);
-    let schedule = match flags.get("faults") {
+    let faults = match flags.get("faults") {
         Some(spec) => {
             let cfg = FaultConfig::parse(spec).map_err(|e| format!("bad --faults: {e}"))?;
             FaultSchedule::seeded(seed, cfg)
         }
         None => FaultSchedule::clean(),
     };
-    let mut faulty = FaultyLlm::new(sim, schedule, wait_clock.clone());
-    if let Some(n) = flags.get("fault-kill-after") {
-        faulty = faulty.with_kill_after(n.parse().map_err(|_| "bad --fault-kill-after")?);
-    }
-    if observed {
-        faulty = faulty.with_sink(fanout.clone());
-    }
-    let mut resilient = ResilientLlm::new(
-        faulty,
-        ResilienceConfig { seed, ..ResilienceConfig::default() },
-        wait_clock,
-    );
-    if observed {
-        resilient = resilient.with_sink(fanout.clone());
-    }
-    if tracer.enabled() {
-        resilient = resilient.with_tracer(tracer.clone());
-    }
-    let mut retrying = RetryingLlm::new(
-        ValidatingLlm::new(resilient, bundle.tag.class_names().to_vec()),
-        retries.max(1),
-    );
-    if let Some(b) = budget {
-        retrying = retrying.with_budget(b);
-    }
-    if observed {
-        retrying = retrying.with_sink(fanout.clone());
-    }
-    if tracer.enabled() {
-        retrying = retrying.with_tracer(tracer.clone());
-    }
-    // The response cache wraps the *whole* stack so hits skip validation
-    // and retries entirely; `--no-cache` keeps the wrapper (capacity 0 is
-    // a transparent pass-through) so both arms run identical code.
+    let kill_after = flags
+        .get("fault-kill-after")
+        .map(|n| n.parse().map_err(|_| "bad --fault-kill-after"))
+        .transpose()?;
+    // `--no-cache` keeps the cache wrapper (capacity 0 is a transparent
+    // pass-through) so both arms run identical code.
     let cache_cap: usize = if flags.contains_key("no-cache") {
         0
     } else {
         flags.get("cache-cap").map_or(Ok(4096), |s| s.parse().map_err(|_| "bad --cache-cap"))?
     };
-    let llm = CachedLlm::new(LenientLlm::new(retrying), cache_cap);
+    let llm = client_stack(
+        sim,
+        bundle.tag.class_names().to_vec(),
+        StackSpec {
+            faults,
+            kill_after,
+            seed,
+            retries,
+            budget,
+            cache_cap,
+            sink: observed.then(|| fanout.clone() as Arc<dyn EventSink>),
+            tracer: tracer.enabled().then(|| tracer.clone()),
+        },
+    );
     let m = if bundle.tag.name() == "ogbn-products" { 10 } else { 4 };
     // Round-based invalidation rides the telemetry stream: the invalidator
     // is an event sink that advances the cache epoch on RoundCompleted, so
@@ -1160,10 +1059,10 @@ fn main() -> ExitCode {
     else {
         return usage();
     };
-    let (pos, flags) = match parse_flags(cmd, &args[1..]) {
+    let (pos, flags) = match cmd.parse(&args[1..]) {
         Ok(parsed) => parsed,
         Err(e) => {
-            eprintln!("error: {e} (run `mqo` for usage)");
+            eprintln!("error: mqo {}: {e} (run `mqo` for usage)", cmd.verb);
             return ExitCode::from(2);
         }
     };

@@ -106,6 +106,12 @@ impl<T> BoundedQueue<T> {
         self.available.notify_all();
     }
 
+    /// Take every queued item at once, without blocking (a coordinator
+    /// dropping work it no longer wants run).
+    pub fn drain(&self) -> Vec<T> {
+        self.state.lock().expect("queue lock").items.drain(..).collect()
+    }
+
     /// Whether the queue has been closed.
     pub fn is_closed(&self) -> bool {
         self.state.lock().expect("queue lock").closed
@@ -180,6 +186,17 @@ mod tests {
         thread::sleep(std::time::Duration::from_millis(20));
         q.close();
         assert_eq!(consumer.join().unwrap(), None);
+    }
+
+    #[test]
+    fn drain_takes_queued_work_and_leaves_the_queue_open() {
+        let q = BoundedQueue::new(4);
+        q.try_push(1).unwrap();
+        q.try_push(2).unwrap();
+        assert_eq!(q.drain(), vec![1, 2]);
+        assert!(q.is_empty() && !q.is_closed());
+        q.try_push(3).unwrap();
+        assert_eq!(q.pop(), Some(3));
     }
 
     #[test]

@@ -39,10 +39,74 @@ use serde_json::{json, Value};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// The one concrete client stack serving runs — identical layering to the
-/// batch CLI so behavior (and records) match exactly.
-type ServeStack =
+/// The client stack `mqo classify` and `mqo serve` both run, outermost
+/// first: response cache → lenient recovery → bounded retries with the
+/// format reminder → strict format validation → resilience (backoff,
+/// deadline, circuit breaker, rate-limit pacing) → fault injection →
+/// simulated model. Built only by [`client_stack`], so the batch CLI and
+/// the server cannot drift apart.
+pub type ClientStack =
     CachedLlm<LenientLlm<RetryingLlm<ValidatingLlm<ResilientLlm<FaultyLlm<SimLlm>>>>>>;
+
+/// What [`client_stack`] builds on: the settings `mqo classify` and
+/// `mqo serve` already take.
+pub struct StackSpec {
+    /// The injected fault schedule ([`FaultSchedule::clean`] passes
+    /// every call through).
+    pub faults: FaultSchedule,
+    /// Exit the process at this model call (crash drills).
+    pub kill_after: Option<u64>,
+    /// Seed of the resilience layer's backoff jitter.
+    pub seed: u64,
+    /// Format-retry attempts (at least one is made).
+    pub retries: u32,
+    /// Hard Eq. 2 budget the retry layer re-checks each retry against.
+    pub budget: Option<u64>,
+    /// Response-cache capacity (0 is a transparent pass-through).
+    pub cache_cap: usize,
+    /// Telemetry for the fault, resilience and retry layers.
+    pub sink: Option<Arc<dyn EventSink>>,
+    /// Span tracer for the resilience and retry layers.
+    pub tracer: Option<Arc<Tracer>>,
+}
+
+/// Build the [`ClientStack`] over `sim`. Validation sits *above*
+/// resilience so the breaker counts transport failures only, never
+/// format rejections; the cache wraps everything so a hit skips
+/// validation and retries entirely.
+pub fn client_stack(sim: SimLlm, class_names: Vec<String>, spec: StackSpec) -> ClientStack {
+    let wait_clock: Arc<dyn WaitClock> = Arc::new(MonotonicClock);
+    let mut faulty = FaultyLlm::new(sim, spec.faults, wait_clock.clone());
+    if let Some(n) = spec.kill_after {
+        faulty = faulty.with_kill_after(n);
+    }
+    if let Some(sink) = &spec.sink {
+        faulty = faulty.with_sink(sink.clone());
+    }
+    let mut resilient = ResilientLlm::new(
+        faulty,
+        ResilienceConfig { seed: spec.seed, ..ResilienceConfig::default() },
+        wait_clock,
+    );
+    if let Some(sink) = &spec.sink {
+        resilient = resilient.with_sink(sink.clone());
+    }
+    if let Some(tracer) = &spec.tracer {
+        resilient = resilient.with_tracer(tracer.clone());
+    }
+    let mut retrying =
+        RetryingLlm::new(ValidatingLlm::new(resilient, class_names), spec.retries.max(1));
+    if let Some(b) = spec.budget {
+        retrying = retrying.with_budget(b);
+    }
+    if let Some(sink) = spec.sink {
+        retrying = retrying.with_sink(sink);
+    }
+    if let Some(tracer) = spec.tracer {
+        retrying = retrying.with_tracer(tracer);
+    }
+    CachedLlm::new(LenientLlm::new(retrying), spec.cache_cap)
+}
 
 /// Why a request was refused at admission.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -77,7 +141,7 @@ pub struct ProcessedBatch {
 pub struct Engine {
     bundle: DatasetBundle,
     predictor: Box<dyn Predictor>,
-    llm: ServeStack,
+    llm: ClientStack,
     labels: RwLock<LabelStore>,
     journal: Option<RunJournal>,
     fanout: Arc<Fanout>,
@@ -198,42 +262,32 @@ impl Engine {
             fanout.push(c.clone());
         }
 
-        // Same stack, same order, same defaults as `mqo classify`:
-        // validation above resilience so the breaker counts transport
-        // failures only; the cache wraps everything so hits skip the
-        // whole chain.
-        let wait_clock: Arc<dyn WaitClock> = Arc::new(MonotonicClock);
         let sim = SimLlm::new(
             bundle.lexicon.clone(),
             bundle.tag.class_names().to_vec(),
             ModelProfile::gpt35(),
         );
-        let schedule = match &cfg.faults {
+        let faults = match &cfg.faults {
             Some(spec) => FaultSchedule::seeded(
                 cfg.seed,
                 FaultConfig::parse(spec).map_err(|e| format!("bad fault spec: {e}"))?,
             ),
             None => FaultSchedule::clean(),
         };
-        let faulty =
-            FaultyLlm::new(sim, schedule, wait_clock.clone()).with_sink(fanout.clone());
-        let resilient = ResilientLlm::new(
-            faulty,
-            ResilienceConfig { seed: cfg.seed, ..ResilienceConfig::default() },
-            wait_clock,
-        )
-        .with_sink(fanout.clone())
-        .with_tracer(tracer.clone());
-        let mut retrying = RetryingLlm::new(
-            ValidatingLlm::new(resilient, bundle.tag.class_names().to_vec()),
-            cfg.retries.max(1),
-        )
-        .with_sink(fanout.clone())
-        .with_tracer(tracer.clone());
-        if let Some(b) = cfg.budget {
-            retrying = retrying.with_budget(b);
-        }
-        let llm = CachedLlm::new(LenientLlm::new(retrying), cfg.cache_cap);
+        let llm = client_stack(
+            sim,
+            bundle.tag.class_names().to_vec(),
+            StackSpec {
+                faults,
+                kill_after: None,
+                seed: cfg.seed,
+                retries: cfg.retries,
+                budget: cfg.budget,
+                cache_cap: cfg.cache_cap,
+                sink: Some(fanout.clone()),
+                tracer: Some(tracer.clone()),
+            },
+        );
         llm.meter().attach_sink(fanout.clone());
 
         let journal = match &cfg.journal {

@@ -45,7 +45,10 @@ mod slots;
 mod tenant;
 
 pub use config::{ServeConfig, ServerOptions};
-pub use engine::{make_predictor, split_for, Engine, ProcessedBatch, Rejection};
+pub use engine::{
+    client_stack, make_predictor, split_for, ClientStack, Engine, ProcessedBatch, Rejection,
+    StackSpec,
+};
 pub use server::{DrainReport, Server};
 pub use shard::{LabelExchanger, ShardContext};
 pub use shed::{Admit, BrownoutTransition, OverloadConfig, OverloadControl};

@@ -8,7 +8,9 @@
 #      Any scheduler change that lets pool width, lock timing, or
 #      completion order leak into results fails this diff. Each dump must
 #      also equal the committed golden dump, so a readiness change that
-#      alters wave composition across revisions fails too.
+#      alters wave composition across revisions fails too, and so must a
+#      width-1 run (one worker behind the same barrier), so the pool
+#      width is unobservable in the records.
 #   2. Invariants under reordering — a traced deterministic wave run AND
 #      a traced free-running run (out-of-order completions folding
 #      pseudo-labels mid-flight) both go through obs_check: span nesting
@@ -44,6 +46,16 @@ for leg in a b; do
   fi
 done
 echo "record dumps equal the golden dump"
+
+echo "==> determinism: the same workload at width 1"
+./target/release/mqo classify cora \
+  --queries 120 --boost --deterministic --threads 1 --seed 42 --no-cache \
+  --dump-records "$OUT/records_w1.jsonl" > "$OUT/run_w1.log"
+if ! cmp "$GOLDEN" "$OUT/records_w1.jsonl"; then
+  echo "sched_smoke: FAIL — width-1 record dump differs from $GOLDEN" >&2
+  exit 1
+fi
+echo "width-1 record dump equals the golden dump"
 
 echo "==> invariants: traced deterministic wave run"
 ./target/release/mqo classify cora \
