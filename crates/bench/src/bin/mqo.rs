@@ -27,7 +27,7 @@ use mqo_core::planner::plan_campaign;
 use mqo_core::pruning::PrunePlan;
 use mqo_core::surrogate::SurrogateConfig;
 use mqo_core::{Executor, InadequacyScorer, LabelStore, Labels, SchedulePolicy, Scheduler};
-use mqo_data::{dataset, persist, DatasetBundle, DatasetId};
+use mqo_data::{dataset, paper_max_neighbors, persist, DatasetBundle, DatasetId};
 use mqo_fault::{FaultConfig, FaultSchedule};
 use mqo_graph::NodeId;
 use mqo_llm::{LanguageModel, ModelProfile, SimLlm};
@@ -319,7 +319,7 @@ fn cmd_classify(pos: &[String], flags: &HashMap<String, String>) -> Result<(), S
             tracer: tracer.enabled().then(|| tracer.clone()),
         },
     );
-    let m = if bundle.tag.name() == "ogbn-products" { 10 } else { 4 };
+    let m = paper_max_neighbors(bundle.tag.name());
     // Round-based invalidation rides the telemetry stream: the invalidator
     // is an event sink that advances the cache epoch on RoundCompleted, so
     // boosting-enriched prompts are never answered from a previous round.

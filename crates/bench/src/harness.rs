@@ -52,12 +52,9 @@ pub fn scale_for(id: DatasetId) -> f64 {
     }
 }
 
-/// The paper's `M`: 10 for Ogbn-Products, 4 elsewhere.
+/// The paper's `M` for `id` ([`mqo_data::paper_max_neighbors`]).
 pub fn m_for(id: DatasetId) -> usize {
-    match id {
-        DatasetId::OgbnProducts => 10,
-        _ => 4,
-    }
+    mqo_data::paper_max_neighbors(id.name())
 }
 
 /// Surrogate configuration per §VI-A3: linear TF-IDF model for the small

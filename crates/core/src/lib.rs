@@ -37,8 +37,8 @@
 //!   stream (the introduction's dynamic-node scenario).
 //! * [`planner`] — dollars → tokens → τ campaign planning before any LLM
 //!   call (§V-C arithmetic over rendered-prompt estimates).
-//! * [`queue`] — the bounded MPMC work queue behind the `mqo-serve`
-//!   request scheduler (non-blocking admission, drain-aware pop).
+//! * [`queue`] — the bounded MPMC work queue the [`Scheduler`]'s worker
+//!   pool pulls from (non-blocking push, drain-aware pop).
 
 //! ```
 //! use mqo_core::{Executor, LabelStore, ZeroShot};

@@ -11,7 +11,7 @@
 //! always completes, late work is refused.
 //!
 //! (HTTP admission in `mqo-serve` does not use this queue: handlers wait
-//! for a slot permit on its `SlotGate` instead.)
+//! for a seat at its `AdmissionGate` instead.)
 //!
 //! std `Mutex` + `Condvar` rather than a lock-free ring: the payloads are
 //! whole query batches whose execution dwarfs any queue overhead, and the

@@ -11,13 +11,12 @@
 //! an ever-richer label store — boosting without ever seeing the whole
 //! query set up front.
 
-use crate::boosting::BoostConfig;
+use crate::boosting::{label_support, BoostConfig};
 use crate::error::Result;
 use crate::executor::{Executor, QueryRecord};
 use crate::labels::LabelStore;
 use crate::predictor::{Predictor, SelectCtx};
 use mqo_graph::NodeId;
-use std::collections::HashSet;
 use std::collections::VecDeque;
 
 /// Configuration of the online classifier.
@@ -78,16 +77,8 @@ impl<'a, 'e> OnlineClassifier<'a, 'e> {
             max_neighbors: self.exec.max_neighbors,
         };
         let mut rng = self.exec.query_rng(v);
-        let selected = self.predictor.select_neighbors(&ctx, v, &mut rng);
-        let mut kinds = HashSet::new();
-        let mut count = 0;
-        for n in selected {
-            if let Some(c) = self.labels.get(n) {
-                count += 1;
-                kinds.insert(c);
-            }
-        }
-        count >= self.config.boost.gamma1 && kinds.len() <= self.config.boost.gamma2
+        let (count, kinds) = label_support(self.predictor, &ctx, v, &mut rng);
+        count >= self.config.boost.gamma1 && kinds <= self.config.boost.gamma2
     }
 
     fn execute(&mut self, v: NodeId) -> Result<QueryRecord> {

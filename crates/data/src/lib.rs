@@ -32,5 +32,5 @@ pub mod registry;
 pub mod spec;
 
 pub use generate::{generate, DatasetBundle};
-pub use registry::{all_specs, dataset, DatasetId};
+pub use registry::{all_specs, dataset, paper_max_neighbors, DatasetId};
 pub use spec::DatasetSpec;

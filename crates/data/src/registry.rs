@@ -79,6 +79,16 @@ pub fn all_specs() -> Vec<DatasetSpec> {
     DatasetId::ALL.iter().map(|id| id.spec()).collect()
 }
 
+/// The paper's `M`, the per-prompt neighbor cap, for the dataset named
+/// `dataset`: 10 on ogbn-products, 4 on every other dataset.
+pub fn paper_max_neighbors(dataset: &str) -> usize {
+    if dataset == DatasetId::OgbnProducts.name() {
+        10
+    } else {
+        4
+    }
+}
+
 fn names(list: &[&str]) -> Vec<String> {
     list.iter().map(|s| s.to_string()).collect()
 }

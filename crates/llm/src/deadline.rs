@@ -10,7 +10,7 @@
 //! point has passed.
 //!
 //! A thread-local fits the serving architecture exactly: each admitted
-//! request runs inline on one handler thread under its slot permit, so
+//! request runs inline on one handler thread under its admission seat, so
 //! the deadline never needs to cross threads, and the model stack (which
 //! is shared and deliberately ignorant of requests) needs no per-call
 //! plumbing. Batch runs never install a deadline and are unaffected.

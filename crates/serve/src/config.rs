@@ -29,8 +29,8 @@ pub struct ServeConfig {
     /// compared against, and the split generator draws both from one RNG
     /// stream — so use the same value as the batch arm's `--queries`.
     pub split_queries: usize,
-    /// Maximum neighbors per prompt; `0` picks the dataset default
-    /// (10 for ogbn-products, 4 otherwise — same as the CLI).
+    /// Maximum neighbors per prompt; `0` picks the paper's `M` for the
+    /// dataset ([`mqo_data::paper_max_neighbors`], same as the CLI).
     pub max_neighbors: usize,
     /// Hard global input-token budget (Eq. 2), if any.
     pub budget: Option<u64>,
@@ -99,12 +99,15 @@ impl Default for ServeConfig {
 pub struct ServerOptions {
     /// Bind address (`127.0.0.1:0` picks a free port).
     pub addr: String,
-    /// Worker threads draining the request queue.
+    /// Execution slots: at most this many admitted batches run at once,
+    /// each on its connection handler's thread.
     pub workers: usize,
-    /// Bounded queue capacity; a full queue answers `429 Retry-After`.
+    /// Wait-room capacity: at most this many admitted requests wait for
+    /// a slot; a full wait room answers `429` with a computed
+    /// `Retry-After`.
     pub queue_capacity: usize,
-    /// Overload-controller tunables: sojourn target, shed interval,
-    /// tenant fair share, and the brown-out thresholds.
+    /// Admission-gate tunables: sojourn target, shed interval, tenant
+    /// fair share, and the brown-out thresholds.
     pub overload: crate::shed::OverloadConfig,
 }
 

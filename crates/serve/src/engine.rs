@@ -18,7 +18,7 @@ use crate::tenant::{TenantExhausted, TenantTable};
 use mqo_core::journal::{RunHeader, RunJournal};
 use mqo_core::predictor::{KhopRandom, LlmRanked, Predictor, Sns, ZeroShot};
 use mqo_core::{Executor, LabelStore, Labels, QueryRecord, SchedulePolicy, Scheduler};
-use mqo_data::DatasetBundle;
+use mqo_data::{paper_max_neighbors, DatasetBundle};
 use mqo_fault::{FaultConfig, FaultSchedule, FaultyLlm};
 use mqo_graph::{ClassId, LabeledSplit, NodeId, SplitConfig};
 use mqo_llm::{
@@ -115,8 +115,6 @@ pub enum Rejection {
     Draining,
     /// The tenant's admission budget is exhausted.
     TenantExhausted(TenantExhausted),
-    /// The request queue is full — backpressure; retry later.
-    Saturated,
 }
 
 /// Result of processing one admitted classification batch.
@@ -316,10 +314,8 @@ impl Engine {
 
         let max_neighbors = if cfg.max_neighbors > 0 {
             cfg.max_neighbors
-        } else if bundle.tag.name() == "ogbn-products" {
-            10
         } else {
-            4
+            paper_max_neighbors(bundle.tag.name())
         };
 
         let registry = metrics.registry();
@@ -540,7 +536,7 @@ impl Engine {
     }
 
     /// One executor view over the engine, ready for whichever thread
-    /// holds a slot permit. `sink` is the telemetry destination (the
+    /// holds an admission seat. `sink` is the telemetry destination (the
     /// shared fanout, possibly teed with a per-request collector) and
     /// `trace` annotates journal lines and cost events.
     fn executor<'a>(&'a self, sink: &'a dyn EventSink, trace: &str) -> Executor<'a> {
@@ -562,7 +558,7 @@ impl Engine {
 
     /// Classify `nodes` for `tenant`, via the FIFO schedule of the
     /// shared [`Scheduler`] — the same execution core as the batch CLI.
-    /// Called from connection handlers holding a slot permit; journal
+    /// Called from connection handlers holding an admission seat; journal
     /// replay short-circuits already-answered nodes, fresh queries run
     /// the full stack, and (with boosting on) successful predictions
     /// become pseudo-labels that enrich later prompts on neighboring

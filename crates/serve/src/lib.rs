@@ -13,14 +13,19 @@
 //!   `CachedLlm → … → SimLlm` stack, a pseudo-label store (responses can
 //!   boost later requests on neighboring nodes), per-tenant admission
 //!   accounting, and the same crash-safe journal as the batch CLI.
-//! * [`Server`] — the routes on that HTTP server: a slot gate bounding
-//!   execution concurrency, four admission gates (draining → tenant
-//!   budget → adaptive shedding → slot backpressure), and a graceful
+//! * [`Server`] — the routes on that HTTP server: three admission gates
+//!   (draining → tenant budget → the [`AdmissionGate`]) and a graceful
 //!   drain that shuts the HTTP server down (finishing in-flight work),
 //!   then seals the journal and closes the run span. Admitted batches
 //!   run on the connection handler's thread through the engine's
 //!   [`mqo_core::Scheduler`] FIFO path; classify and label bodies go
 //!   through [`mqo_shard::wire`], the codec the router shares.
+//! * [`AdmissionGate`] — the one admission object in front of the
+//!   engine: bounded execution slots and wait room, sojourn and
+//!   fair-share shedding with a computed `Retry-After`, and the
+//!   brown-out lever (the paper's pruned, neighbor-free prompts). A
+//!   request either gets a [`Refusal`] naming its cause or a [`Seat`]
+//!   that frees the slot and the tenant's share when dropped.
 //! * [`ServeConfig`] / [`ServerOptions`] — how the engine is built and
 //!   how the server schedules; [`make_predictor`] and [`split_for`]
 //!   build the predictor and labeled split, for the CLI's batch runs too.
@@ -41,7 +46,6 @@ mod server;
 pub mod shard;
 pub mod shed;
 pub mod signal;
-mod slots;
 mod tenant;
 
 pub use config::{ServeConfig, ServerOptions};
@@ -51,5 +55,5 @@ pub use engine::{
 };
 pub use server::{DrainReport, Server};
 pub use shard::{LabelExchanger, ShardContext};
-pub use shed::{Admit, BrownoutTransition, OverloadConfig, OverloadControl};
+pub use shed::{AdmissionGate, BrownoutTransition, OverloadConfig, Refusal, Seat};
 pub use tenant::{TenantAccount, TenantExhausted, TenantTable};

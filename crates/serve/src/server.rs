@@ -28,18 +28,18 @@
 //! connects a client timeout to its server-side spans, its journal
 //! record, and its token bill.
 //!
-//! Four admission gates guard `/v1/classify`, in order: draining
-//! (`503`), tenant budget (`429`, nothing billed), the adaptive
-//! [`OverloadControl`] (`429` with a *computed* `Retry-After` when the
-//! controller is shedding or the tenant is over its fair share of the
-//! wait room), and slot backpressure (`429 Retry-After`, the
-//! [`SlotGate`]'s wait room is full). Admitted work executes *on the
-//! connection handler's own thread* under a [`SlotPermit`]: the permit
-//! bounds concurrency exactly like the old worker pool did (at most
-//! `workers` batches running, at most `queue_capacity` waiting), but
-//! the request never crosses a queue or a reply channel — the handler
-//! calls straight into the engine's [`mqo_core::Scheduler`] FIFO path
-//! and writes the response itself.
+//! Three admission gates guard `/v1/classify`, in order: draining
+//! (`503`), tenant budget (`429`, nothing billed), and the
+//! [`AdmissionGate`]. The gate sheds with `429` and a *computed*
+//! `Retry-After` when it is shedding on sojourn, the tenant is over its
+//! fair share of the wait room, or the wait room is full; otherwise it
+//! seats the request, waiting at most until its deadline. Admitted work
+//! executes *on the connection handler's own thread* under its
+//! [`Seat`](crate::shed::Seat): at most `workers` batches run, at most
+//! `queue_capacity` wait, and the request never crosses a queue or a
+//! reply channel — the handler calls straight into the engine's
+//! [`mqo_core::Scheduler`] FIFO path and writes the response itself.
+//! Dropping the seat frees the slot and the tenant's share.
 //!
 //! Every classify exit, refusal or answer, is decided first as one
 //! outcome (status, body, optional `Retry-After`, flight summary) and
@@ -51,7 +51,7 @@
 //!
 //! An `x-mqo-deadline-ms` request header bounds the whole request: the
 //! slot wait is capped at the remaining budget, the deadline is
-//! re-checked at admission, and it rides a thread-local into the
+//! re-checked once seated, and it rides a thread-local into the
 //! resilient LLM client so in-flight work stops metering the moment it
 //! cannot finish in time. An expired deadline answers `504` with zero
 //! tokens billed, at whichever stage it died (`queue`, `admitted`,
@@ -69,7 +69,7 @@
 //! mark draining (late requests get a clean `503`) → shut down the
 //! shared [`HttpServer`] (it stops the accept loop, half-closes open
 //! connections and joins their handlers; every admitted batch finishes
-//! on its handler's thread, permits release as they go, and in-flight
+//! on its handler's thread, seats release as they go, and in-flight
 //! responses still write) → seal the journal (fsync) → close the run
 //! span → flush trace artifacts. Accepted work always finishes; a
 //! restarted server resumes from the sealed journal re-billing zero
@@ -77,8 +77,7 @@
 
 use crate::config::ServerOptions;
 use crate::engine::{Engine, Rejection};
-use crate::shed::{Admit, BrownoutTransition, OverloadControl};
-use crate::slots::{AcquireError, SlotGate};
+use crate::shed::{AdmissionGate, BrownoutTransition, Refusal};
 use mqo_core::journal::record_to_json;
 use mqo_graph::NodeId;
 use mqo_obs::httpd::{http_errors_total, HttpConnection, HttpServer, Request};
@@ -92,7 +91,6 @@ use std::io;
 use std::net::SocketAddr;
 use std::sync::{mpsc, Arc};
 use std::thread::{self, JoinHandle};
-use std::time::Duration;
 
 /// What the drain sequence observed, for operator logs and exit status.
 #[derive(Debug, Clone)]
@@ -117,7 +115,8 @@ pub struct Server {
 }
 
 impl Server {
-    /// Open the run span, build the slot gate, bind and start serving.
+    /// Open the run span, build the admission gate, bind and start
+    /// serving.
     pub fn start(engine: Arc<Engine>, options: ServerOptions) -> io::Result<Server> {
         // The run span lives on a dedicated supervisor thread: it must
         // open before the first query (so query spans have a "run"
@@ -142,18 +141,17 @@ impl Server {
             })?;
         ready_rx.recv().map_err(|_| io::Error::other("span supervisor died before serving"))?;
 
-        let gate: Arc<SlotGate> =
-            Arc::new(SlotGate::new(options.workers.max(1), options.queue_capacity.max(1)));
-        let overload: Arc<OverloadControl> = Arc::new(OverloadControl::new(
+        let gate = AdmissionGate::new(
             options.overload.clone(),
-            options.queue_capacity.max(1),
-        ));
+            options.workers,
+            options.queue_capacity,
+        );
 
         let http = {
             let engine = Arc::clone(&engine);
             let errors = http_errors_total(engine.metrics().registry());
             HttpServer::start(options.addr.as_str(), errors, move |req, conn| {
-                handle_request(&engine, &gate, &overload, req, conn)
+                handle_request(&engine, &gate, req, conn)
             })?
         };
 
@@ -187,7 +185,7 @@ impl Server {
         // 2–3. Stop accepting (later connections are refused at the
         //    socket) and let in-flight connections finish: every admitted
         //    batch runs on its handler's thread, so joining the handlers
-        //    *is* draining the work — permits release as batches complete
+        //    *is* draining the work — seats release as batches complete
         //    and parked waiters run to completion behind them.
         self.http.shutdown();
         // 4. Seal the journal: everything answered is now durable, so a
@@ -378,65 +376,67 @@ fn deadline_for(req: &Request, now_micros: u64) -> Result<Option<u64>, String> {
     Ok(Some(now_micros.saturating_add(ms.saturating_mul(1_000))))
 }
 
-/// Refuse a classify request with `429` and a computed `Retry-After`,
-/// announcing the shed as an event. Used for both controller sheds and
-/// slot-gate saturation; the caller has already done the rest of the
-/// bookkeeping (counters, seat release).
-fn shed(
+/// Answer a classify request the [`AdmissionGate`] refused (or whose
+/// deadline expired while it executed), counting and announcing it as an
+/// event. A shed answers `429` with its computed `Retry-After`, counted
+/// as a queue rejection when the wait room was full and as a shed
+/// otherwise. An expiry answers `504` naming its stage (`queue`,
+/// `admitted`, or `executing`). Nothing is billed on either path: the
+/// request never reached the engine or every query in it failed cheaply.
+fn refuse(
     engine: &Engine,
     trace: &str,
     tenant: &str,
     request_summary: String,
-    retry_after_secs: u64,
-    reason: &str,
-) -> Outcome {
-    engine.fanout().emit(&Event::RequestShed {
-        tenant: tenant.to_string(),
-        reason: reason.to_string(),
-        retry_after_secs,
-    });
-    let body = json!({
-        "error": "saturated",
-        "reason": reason,
-        "tenant": tenant,
-        "retry_after_secs": retry_after_secs,
-        "trace": trace,
-    });
-    let summary = format!("refused: {reason}, retry after {retry_after_secs}s");
-    Outcome {
-        retry_after: Some(retry_after_secs),
-        ..Outcome::refused(429, &body, tenant, request_summary, summary)
-    }
-}
-
-/// Answer `504` for a request whose deadline expired at `stage`
-/// (`queue`, `admitted`, or `executing`), announcing the expiry as an
-/// event and a counter. Nothing is billed on this path: the request
-/// either never reached the engine or every query in it failed cheaply.
-fn deadline_expired(
-    engine: &Engine,
-    trace: &str,
-    tenant: &str,
-    request_summary: String,
-    stage: &str,
-    waited_micros: u64,
+    refusal: Refusal,
     collector: Option<Recorder>,
 ) -> Outcome {
-    engine.count_deadline_expired();
-    engine.fanout().emit(&Event::DeadlineExpired {
-        trace: trace.to_string(),
-        stage: stage.to_string(),
-        waited_micros,
-    });
-    let body = json!({
-        "error": "deadline exceeded",
-        "stage": stage,
-        "tenant": tenant,
-        "waited_micros": waited_micros,
-        "trace": trace,
-    });
-    let summary = format!("deadline exceeded at {stage} after {waited_micros}us");
-    Outcome { collector, ..Outcome::refused(504, &body, tenant, request_summary, summary) }
+    match refusal {
+        Refusal::Shed { reason, retry_after_secs } => {
+            if reason == "saturated" {
+                engine.count_queue_rejection();
+            } else {
+                engine.count_shed();
+            }
+            engine.fanout().emit(&Event::RequestShed {
+                tenant: tenant.to_string(),
+                reason: reason.to_string(),
+                retry_after_secs,
+            });
+            let body = json!({
+                "error": "saturated",
+                "reason": reason,
+                "tenant": tenant,
+                "retry_after_secs": retry_after_secs,
+                "trace": trace,
+            });
+            let summary = format!("refused: {reason}, retry after {retry_after_secs}s");
+            Outcome {
+                retry_after: Some(retry_after_secs),
+                ..Outcome::refused(429, &body, tenant, request_summary, summary)
+            }
+        }
+        Refusal::Expired { stage, waited_micros } => {
+            engine.count_deadline_expired();
+            engine.fanout().emit(&Event::DeadlineExpired {
+                trace: trace.to_string(),
+                stage: stage.to_string(),
+                waited_micros,
+            });
+            let body = json!({
+                "error": "deadline exceeded",
+                "stage": stage,
+                "tenant": tenant,
+                "waited_micros": waited_micros,
+                "trace": trace,
+            });
+            let summary = format!("deadline exceeded at {stage} after {waited_micros}us");
+            Outcome {
+                collector,
+                ..Outcome::refused(504, &body, tenant, request_summary, summary)
+            }
+        }
+    }
 }
 
 /// Answer one classify request: decide its [`Outcome`], write it with
@@ -444,14 +444,13 @@ fn deadline_expired(
 /// [`finish_classify`] epilogue.
 fn handle_classify(
     engine: &Engine,
-    gate: &SlotGate,
-    overload: &OverloadControl,
+    gate: &AdmissionGate,
     req: &Request,
     conn: &mut HttpConnection,
 ) -> io::Result<u16> {
     let started = MONOTONIC_CLOCK.now_micros();
     let trace = trace_for(req, engine);
-    let mut out = classify(engine, gate, overload, req, &trace, started);
+    let mut out = classify(engine, gate, req, &trace, started);
     let retry_after = out.retry_after.map(|secs| ("Retry-After", secs.to_string()));
     let headers: Vec<_> =
         retry_after.into_iter().chain([("x-mqo-trace-id", trace.clone())]).collect();
@@ -465,8 +464,7 @@ fn handle_classify(
 /// gate lets it through. Writes nothing to the connection.
 fn classify(
     engine: &Engine,
-    gate: &SlotGate,
-    overload: &OverloadControl,
+    gate: &AdmissionGate,
     req: &Request,
     trace: &str,
     started: u64,
@@ -505,63 +503,14 @@ fn classify(
                 format!("refused: {} of {} budget tokens spent", t.spent_tokens, t.budget);
             return Outcome::refused(429, &body, &tenant, request_summary, summary);
         }
-        Err(Rejection::Saturated) => unreachable!("admit never reports slot saturation"),
     }
-    // Adaptive shedding: the controller may refuse before the slot gate
-    // is consulted — standing-queue sojourn or a tenant past its fair
-    // share of the wait room.
-    if let Admit::Shed(reason) = overload.admit(&tenant, gate.waiting(), started) {
-        let retry_after = overload.retry_after_secs(gate.waiting());
-        engine.count_shed();
-        return shed(engine, trace, &tenant, request_summary, retry_after, reason);
-    }
-    // Each `504` below differs only in the stage the deadline expired at,
-    // when that was noticed, and the events the request left behind.
-    let expired = |stage: &str, now: u64, collector: Option<Recorder>| {
-        let waited = now.saturating_sub(started);
-        deadline_expired(
-            engine,
-            trace,
-            &tenant,
-            request_summary.clone(),
-            stage,
-            waited,
-            collector,
-        )
+    let seat = match gate.enter(&tenant, started, deadline) {
+        Ok(seat) => seat,
+        Err(refusal) => return refuse(engine, trace, &tenant, request_summary, refusal, None),
     };
-    // A fair-share seat is held from here on: every exit path below must
-    // release it exactly once.
-    let wait_budget =
-        deadline.map(|d| Duration::from_micros(d.saturating_sub(MONOTONIC_CLOCK.now_micros())));
-    let (permit, sojourn) = match gate.acquire_within(wait_budget) {
-        Ok(granted) => granted,
-        Err(AcquireError::Saturated) => {
-            overload.release(&tenant);
-            overload.note_shed(started);
-            engine.count_queue_rejection();
-            let retry_after = overload.retry_after_secs(gate.waiting());
-            return shed(engine, trace, &tenant, request_summary, retry_after, "saturated");
-        }
-        Err(AcquireError::DeadlineExpired) => {
-            overload.release(&tenant);
-            let now = MONOTONIC_CLOCK.now_micros();
-            overload.note_shed(now);
-            return expired("queue", now, None);
-        }
-    };
-    let admitted_at = MONOTONIC_CLOCK.now_micros();
-    overload.note_sojourn(sojourn.as_micros() as u64, admitted_at);
-    // The wait may have consumed the whole budget even though a slot
-    // freed up: fail fast rather than render a prompt nobody can bill.
-    if deadline.is_some_and(|d| admitted_at >= d) {
-        drop(permit);
-        overload.release(&tenant);
-        return expired("admitted", admitted_at, None);
-    }
     // Brown-out: past the pressure threshold, admitted work runs with
     // pruned neighbor-free prompts. Transitions are announced once.
-    let (degraded, transition) = overload.brownout(admitted_at);
-    if let Some(t) = transition {
+    if let Some(t) = seat.transition() {
         engine.fanout().emit(&match t {
             BrownoutTransition::Entered { pressure_milli } => {
                 Event::BrownoutEnter { pressure_milli }
@@ -572,12 +521,12 @@ fn classify(
         });
     }
     // Run the batch right here, on the handler's thread, under the
-    // permit's bounded telemetry track — no queue, no reply channel. A
+    // seat's bounded telemetry track — no queue, no reply channel. A
     // per-request collector rides alongside the shared fanout so the
     // flight recorder can rebuild this request's span tree afterwards.
     // The request deadline rides a thread-local into the resilient LLM
     // client, which stops metering the moment it cannot finish in time.
-    mqo_obs::set_thread_track(permit.slot() + 1);
+    mqo_obs::set_thread_track(seat.slot() + 1);
     let collector = Recorder::with_capacity(4096);
     let mut batch = {
         let _deadline_guard = deadline.map(mqo_llm::with_request_deadline);
@@ -588,15 +537,13 @@ fn classify(
             || format!("{request_summary} [{trace}]"),
             engine.run_scope(),
         );
-        engine.process_shaped(&nodes, &tenant, trace, Some(&collector), degraded)
+        engine.process_shaped(&nodes, &tenant, trace, Some(&collector), seat.degraded())
     };
     // Answer in the id space the client spoke: on shard workers the
     // records come back in local ids and the router joins on "node".
     engine.globalize(&mut batch);
-    drop(permit);
+    drop(seat);
     let done = MONOTONIC_CLOCK.now_micros();
-    overload.note_service(done.saturating_sub(admitted_at));
-    overload.release(&tenant);
     engine.count_request();
     engine.metrics().add_events_dropped(collector.dropped());
     // A deadline that expired mid-execution leaves a batch where every
@@ -608,7 +555,9 @@ fn classify(
         && !batch.records.is_empty()
         && batch.records.iter().all(|r| r.failed())
     {
-        return expired("executing", done, Some(collector));
+        let waited_micros = done.saturating_sub(started);
+        let refusal = Refusal::Expired { stage: "executing", waited_micros };
+        return refuse(engine, trace, &tenant, request_summary, refusal, Some(collector));
     }
     let summary = format!(
         "{} record(s), {} replayed, {} tokens billed{}",
@@ -669,8 +618,7 @@ fn handle_labels(engine: &Engine, req: &Request, conn: &mut HttpConnection) -> i
 /// metrics under the tenantless label.
 fn handle_request(
     engine: &Engine,
-    gate: &SlotGate,
-    overload: &OverloadControl,
+    gate: &AdmissionGate,
     req: &Request,
     conn: &mut HttpConnection,
 ) -> io::Result<()> {
@@ -680,7 +628,7 @@ fn handle_request(
         conn.set_keep_alive(false);
     }
     let started = MONOTONIC_CLOCK.now_micros();
-    let status = route(engine, gate, overload, req, conn)?;
+    let status = route(engine, gate, req, conn)?;
     if req.path != "/v1/classify" {
         let latency = MONOTONIC_CLOCK.now_micros().saturating_sub(started);
         engine.observe_http(route_label(&req.path), "-", status, latency);
@@ -692,8 +640,7 @@ fn handle_request(
 /// status for the request metrics.
 fn route(
     engine: &Engine,
-    gate: &SlotGate,
-    overload: &OverloadControl,
+    gate: &AdmissionGate,
     req: &Request,
     conn: &mut HttpConnection,
 ) -> io::Result<u16> {
@@ -701,7 +648,7 @@ fn route(
         return done.map(|()| 200);
     }
     match (req.method.as_str(), req.path.as_str()) {
-        ("POST", "/v1/classify") => handle_classify(engine, gate, overload, req, conn),
+        ("POST", "/v1/classify") => handle_classify(engine, gate, req, conn),
         ("GET", "/v1/healthz") => {
             let (status_text, code) =
                 if engine.draining() { ("draining", 503) } else { ("ok", 200) };

@@ -84,7 +84,7 @@ echo "==> overload workload (open-loop burst past saturation, self-gating)"
 rm -f "$SERVE_ADDR"
 ./target/release/mqo serve cora \
   --addr 127.0.0.1:0 --addr-file "$SERVE_ADDR" --workers 4 --queue-cap 32 \
-  --queries 120 --seed 42 --no-cache \
+  --queries 120 --seed 42 --no-cache --stats-json target/bench_overload_stats.json \
   --faults latency=1.0,latency-micros=20000 > target/bench_overload_serve.log 2>&1 &
 SERVE_PID=$!
 for _ in $(seq 1 200); do [ -s "$SERVE_ADDR" ] && break; sleep 0.1; done
@@ -100,6 +100,24 @@ grep -q '"shed_429": 0,' target/bench_overload.json && {
   echo "bench_smoke: a 5x overload burst shed nothing — controller asleep" >&2
   exit 1
 }
+# The server must have counted every 429 loadgen saw. Its counters also
+# include the calibration phase's 429s, which loadgen leaves out, so the
+# check is >= rather than equality.
+json_int() {
+  grep -o "\"$1\": *[0-9]*" "$2" | head -1 | grep -o '[0-9]*$' ||
+    { echo "bench_smoke: no integer \"$1\" in $2" >&2; return 1; }
+}
+SHED_429=$(json_int shed_429 target/bench_overload.json)
+SERVER_SHED=$(json_int shed target/bench_overload_stats.json)
+SERVER_QUEUE=$(json_int queue target/bench_overload_stats.json)
+COUNTED=$((SERVER_SHED + SERVER_QUEUE))
+if (( COUNTED == 0 || COUNTED < SHED_429 )); then
+  echo "bench_smoke: server counted $COUNTED sheds (rejected.shed $SERVER_SHED +" \
+    "rejected.queue $SERVER_QUEUE), loadgen saw $SHED_429 429s" >&2
+  exit 1
+fi
+echo "overload shed counters: server $COUNTED (shed $SERVER_SHED + queue $SERVER_QUEUE)" \
+  ">= loadgen $SHED_429"
 
 if [[ "${1:-}" == "--update" ]]; then
   cp "$CURRENT" "$BASELINE"
